@@ -2,10 +2,9 @@
 
 Times the *simulator itself* — not the simulated programs — by running the
 shipped kernels (the five paper kernels plus the GARDENIA suite) under the
-selected execution engines (``--engine``): the
-reference interpreter (the bit-exactness oracle and speedup denominator),
-the closure-compiled fast path (:mod:`repro.pipette.fastpath`), and the
-batch-advance whole-stage compiler (:mod:`repro.pipette.batchpath`). Each
+selected execution engines (``--engine``): the reference interpreter (the
+bit-exactness oracle and speedup denominator) and the batch-advance
+whole-stage compiler (:mod:`repro.pipette.batchpath`). Each
 run produces a versioned perf record (per-engine wall times, simulated
 cycles per second, per-phase breakdown) and the set rolls up to one
 aggregate speedup per engine, ``sum(reference walls) / sum(engine walls)``.
@@ -121,21 +120,29 @@ def input_label(spec):
     return "%s(%s)" % (kind, inner)
 
 
+#: Canonical order of every engine that appears in recorded perf data. The
+#: retired closure-compiled ``fastpath`` engine is still here because its
+#: points stay in committed baselines; records without an ``engines`` map
+#: predate multi-engine runs and measured reference + fastpath.
+_RECORDED_ENGINES = ("reference", "fastpath", "batch")
+_LEGACY_ENGINES = ("reference", "fastpath")
+
+
 def normalize_engines(spec=None):
     """Canonicalize an engine selection into an ordered tuple.
 
-    Accepts ``None`` (the legacy pair: reference + fastpath), the string
-    ``"all"``, a single engine name, or an iterable of names. The
-    reference interpreter is always included — it is the bit-exactness
-    oracle and the denominator of every speedup — and the result follows
-    the canonical :data:`~repro.pipette.fastpath.ENGINES` order.
+    Accepts ``None`` or ``"all"`` (every engine), a single engine name, or
+    an iterable of names. The reference interpreter is always included —
+    it is the bit-exactness oracle and the denominator of every speedup —
+    and the result follows the canonical
+    :data:`~repro.pipette.fastpath.ENGINES` order.
     """
     from ..pipette.fastpath import ENGINES
 
-    if spec is None:
-        names = ["reference", "fastpath"]
+    if spec is None or spec == "all":
+        names = list(ENGINES)
     elif isinstance(spec, str):
-        names = list(ENGINES) if spec == "all" else [spec]
+        names = [spec]
     else:
         names = list(spec)
     for name in names:
@@ -168,8 +175,8 @@ def _timed_run(pipeline, arrays, scalars, engine):
 
 def primary_engine(engines):
     """The engine a record's legacy ``fast_wall_s``/``speedup`` refer to:
-    the last non-reference engine in canonical order (batch when measured,
-    else fastpath), or the reference itself in a reference-only run."""
+    the last engine in canonical order (batch when measured, else the
+    reference itself)."""
     return engines[-1]
 
 
@@ -266,13 +273,11 @@ def record_engines(records):
     Pre-multi-engine records (no ``engines`` map) contribute the legacy
     reference + fastpath pair, so aggregation over mixed lists stays sound.
     """
-    from ..pipette.fastpath import ENGINES
-
     common = None
     for r in records:
-        names = set(r.get("engines") or ("reference", "fastpath"))
+        names = set(r.get("engines") or _LEGACY_ENGINES)
         common = names if common is None else common & names
-    return [e for e in ENGINES if e in (common or ())]
+    return [e for e in _RECORDED_ENGINES if e in (common or ())]
 
 
 def _engine_wall(record, name):
@@ -376,13 +381,15 @@ def git_describe(cwd=None):
     return token if token is not None else "unknown"
 
 
-def history_entry(records, scale, git=None, engine="fastpath"):
+def history_entry(records, scale, git=None, engine=None):
     """One compact per-engine trajectory point for the baseline history.
 
-    ``engine`` selects which engine's walls the entry tracks; records
-    without a measurement for it (legacy records, partial runs) fall back
-    to their legacy fast-side keys when ``engine`` is the primary one.
+    ``engine`` selects which engine's walls the entry tracks (default: the
+    records' primary engine); records without a measurement for it (legacy
+    records, partial runs) fall back to their legacy fast-side keys.
     """
+    if engine is None:
+        engine = primary_engine(record_engines(records))
     agg = aggregate(records)
     per_agg = (agg.get("engines") or {}).get(engine)
     if per_agg is not None:
@@ -462,7 +469,8 @@ def write_baseline(records, scale, path=BASELINE_FILE, git=None):
                 ]
     payload = baseline_payload(records, scale)
     git_key = git_describe() if git is None else git
-    tracked = [e for e in record_engines(records) if e != "reference"] or ["fastpath"]
+    engines = record_engines(records)
+    tracked = [e for e in engines if e != "reference"] or engines[-1:]
     for engine in tracked:
         # One trajectory point per measured engine: the baseline grows a
         # multi-engine history the report can chart side by side.
@@ -581,7 +589,7 @@ def render_table(records, agg):
     Columns adapt to the engine set: one wall column per engine plus one
     speedup-vs-reference column per non-reference engine.
     """
-    engines = record_engines(records) or ["reference", "fastpath"]
+    engines = record_engines(records) or list(_LEGACY_ENGINES)
     ratio_engines = [e for e in engines if e != "reference"]
     lines = []
     header = "%-7s %-6s %12s" % ("bench", "scale", "cycles")

@@ -288,9 +288,6 @@ def cached_compile(function, options):
     value = _get_or_compute("pipeline", key, compute)
     pipeline = value.clone()
     pipeline.intrinsics = dict(function.intrinsics)
-    # Engine choice is not part of the cache key (both engines share
-    # entries), so restamp the caller's preference on the way out.
-    pipeline.meta["fastpath"] = options.fastpath
     return pipeline
 
 

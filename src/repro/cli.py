@@ -515,9 +515,9 @@ def build_parser():
     )
     perf.add_argument(
         "--engine", default=None,
-        choices=("reference", "fastpath", "batch", "all"),
+        choices=("reference", "batch", "all"),
         help="engine(s) to time against the reference interpreter "
-        "(default: fastpath; 'all' measures every engine)",
+        "(default and 'all': reference and batch)",
     )
     perf.add_argument(
         "--repeats", type=int, default=2,

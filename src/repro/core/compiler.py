@@ -59,15 +59,9 @@ class CompileOptions:
     #: verification never changes the compiled pipeline, so a verified and
     #: an unverified compile must share cache entries.
     verify_each: bool = False
-    #: Run compiled pipelines on the closure-compiled fast path
-    #: (:mod:`repro.pipette.fastpath`). Recorded in ``pipeline.meta`` for
-    #: the machine to honor; like ``verify_each``, NOT part of cache_key()
-    #: — the engine choice never changes the compiled pipeline, so both
-    #: engines must share cache entries.
-    fastpath: bool = True
     #: Run the static performance model at the end of compilation and log
     #: its PHL4xx advisories. Advisory only — it never changes the
-    #: compiled pipeline — so, like ``verify_each``/``fastpath``, it is
+    #: compiled pipeline — so, like ``verify_each``, it is
     #: deliberately NOT part of cache_key(): analyzed and unanalyzed
     #: compiles must share cache entries.
     perf_lints: bool = False
@@ -256,7 +250,6 @@ def compile_function(
     run("finalize", pipeline, finalize)
     pipeline.meta["requested_stages"] = options.num_stages
     pipeline.meta["pass_set"] = list(passes)
-    pipeline.meta["fastpath"] = options.fastpath
     if function.pragmas.get("replicate"):
         # `#pragma replicate N`: record the request; the caller materializes
         # the replicas with core.replicate.replicate_pipeline (Sec. IV-C).

@@ -366,8 +366,9 @@ def _stall_rows(report):
     return ["kernel", "variant"] + ["%s" % b for b in BREAKDOWN_BUCKETS], rows
 
 
-# Canonical engine ordering and short column labels (mirrors
-# repro.pipette.fastpath.ENGINES without importing the simulator here).
+# Canonical ordering and short column labels of every engine that appears in
+# recorded perf data, including the retired closure-compiled ``fastpath``
+# engine whose points stay in committed baselines and histories.
 _ENGINE_ORDER = ("reference", "fastpath", "batch")
 _ENGINE_LABELS = {"reference": "ref", "fastpath": "fast", "batch": "batch"}
 

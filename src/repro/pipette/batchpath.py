@@ -1,13 +1,12 @@
 """Batch-advance execution engine: whole-stage compilation to one generator.
 
-The fast path (:mod:`repro.pipette.fastpath`) removed per-statement *kind*
-dispatch but still pays one specialized-closure call, several ``dict``
-lookups (registers, ready times), and the three-mode step protocol per
-statement. Profiling a QUICK ``bfs`` run shows those per-statement costs —
-not the scheduler — dominate: ~9M closure calls and ~2.6M ``dict.get``
-calls against only ~19k scheduler resumes.
+The reference interpreter (:mod:`repro.pipette.interp`) walks each stage's
+region tree statement by statement, re-dispatching on ``stmt.kind`` and
+re-resolving operands (register dicts, ready-time dicts) on every
+execution. Profiling a QUICK ``bfs`` run shows those per-statement costs —
+not the scheduler — dominate the simulator's wall time.
 
-This engine removes the remaining per-statement machinery by compiling each
+This engine removes the per-statement machinery by compiling each
 stage's whole region tree into **one generated Python generator function**:
 
 * registers and their ready cycles become *frame locals* (name-mangled
@@ -49,10 +48,11 @@ accrual stays a *closed-form replay* of the per-statement arithmetic — the
 float additions happen in the same order on the same values, which is why
 the accrued buckets are bit-identical rather than merely close.
 
-Stages the compiler cannot express (recursive control handlers, unknown
-statement kinds) fall back to :class:`~repro.pipette.fastpath.
-FastStageInterp` per stage; the run then mixes engines per stage but stays
-bit-identical, since every engine replays the same arithmetic.
+A stage the compiler cannot express (it raises :class:`UnsupportedStage`,
+e.g. for a recursive control handler) falls back to the reference
+:class:`~repro.pipette.interp.StageInterp`. The run then mixes engines per
+stage but stays bit-identical by construction: the fallback *is* the
+oracle.
 
 The reference interpreter remains the conformance oracle: see
 ``tests/pipette/test_fastpath_conformance.py`` (engine matrix) and the
@@ -62,8 +62,7 @@ engine-differential fuzzer in ``tests/test_compiler_fuzz.py``.
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _checked_div, _checked_mod
 from ..ir.values import Ctrl
-from .fastpath import FastStageInterp, _is_reg
-from .interp import _assign_pcs
+from .interp import StageInterp, _assign_pcs
 from .sched import BLOCKED
 from .stats import MIRROR_COUNTERS, MIRROR_STALLS
 
@@ -72,7 +71,7 @@ __all__ = ["BatchStageInterp", "UnsupportedStage"]
 
 class UnsupportedStage(Exception):
     """Raised by the stage compiler when a stage shape cannot be expressed;
-    the factory falls back to the fast path for that stage."""
+    the factory falls back to the reference interpreter for that stage."""
 
 
 #: Compiled code objects keyed by generated source text. The source bakes in
@@ -82,7 +81,7 @@ _CODE_CACHE = {}
 _CODE_CACHE_MAX = 512
 
 #: Generated-source size guard: a pathological handler-inline blowup falls
-#: back to the fast path instead of compiling a megabyte of Python.
+#: back to the reference interpreter instead of compiling a megabyte of Python.
 _MAX_LINES = 20000
 
 #: Mirror-local names for the ThreadStats counters, in field order.
@@ -131,6 +130,10 @@ _UNARY_EXPR = {
     "fst": "{a}[0]",
     "snd": "{a}[1]",
 }
+
+
+def _is_reg(operand):
+    return type(operand) is str and not operand.startswith("@")
 
 
 def _oob_raiser(stage_name, array_op, data):
@@ -249,6 +252,13 @@ class _StageCompiler:
         self.captures["below_l2"] = mem.miss_below_l2
         self.captures["pf_streams"] = mem.prefetchers[ctx.core].streams
         self.captures["pf_one"] = mem._prefetch
+        # Bound methods captured by name are bound once: each attribute
+        # access makes a new bound-method object, which cap() would reject
+        # as a collision on the stage's second statement that uses it.
+        self._mem_access = mem.access
+        self._acquire = ctx.ledger.acquire
+        self._remote_queue = runenv.remote_queue
+        self._all_replica_queues = runenv.all_replica_queues
 
     # -- emission helpers ---------------------------------------------------
 
@@ -499,7 +509,7 @@ class _StageCompiler:
         """Inline L1 lookup (+ stride observe unless a store); leaves
         ``latency``. ``stream`` names a local holding the stream id; the
         address line must already be in ``line``. Transcribed from
-        MemorySystem.access via fastpath's audited inline block."""
+        MemorySystem.access."""
         self.w("sindex = line %% %d" % self.SCOUNT)
         self.w("tag = line // %d" % self.SCOUNT)
         self.w("entry = l1get(sindex)")
@@ -1120,7 +1130,7 @@ class _StageCompiler:
 
     def _emit_call(self, stmt):
         self.cap("intrinsics", self.env.intrinsics)
-        self.cap("acquire", self.ctx.ledger.acquire)
+        self.cap("acquire", self._acquire)
         vals = ", ".join(self.val(a) for a in stmt.args)
         regs = [a for a in stmt.args if _is_reg(a)]
         self.w("fn = intrinsics.get(%r)" % stmt.func)
@@ -1193,7 +1203,7 @@ class _StageCompiler:
         return False
 
     def _emit_atomic_rmw(self, stmt):
-        self.cap("mem_access", self.ctx.mem.access)
+        self.cap("mem_access", self._mem_access)
         static = self._binding_locals(stmt.array)
         if stmt.op not in _BINARY_EXPR:
             raise UnsupportedStage("unknown atomic op %r" % stmt.op)
@@ -1265,14 +1275,14 @@ class _StageCompiler:
         self.emit_retire("(qt if qt > start else start) + 1")
 
     def _emit_enq_dist(self, stmt):
-        self.cap("remote_queue", self.env.remote_queue)
+        self.cap("remote_queue", self._remote_queue)
         self.cap("self_interp", None)  # patched post-construction
         self.w("rq, rx = remote_queue(self_interp, %d, %s)" % (stmt.queue, self.val(stmt.replica)))
         self._emit_do_enq_dynamic("rq", self.val(stmt.value), self.rdy(stmt.value), "rx")
         return False
 
     def _emit_enq_ctrl_dist(self, stmt):
-        self.cap("all_replica_queues", self.env.all_replica_queues)
+        self.cap("all_replica_queues", self._all_replica_queues)
         self.cap("self_interp", None)  # patched post-construction
         ctrl = self.cap("ctrl%d" % self.pcs[id(stmt)], stmt.ctrl)
         self.w("for rq, rx in all_replica_queues(self_interp, %d):" % stmt.queue)
@@ -1410,11 +1420,12 @@ class _CompiledStage:
 
 
 def BatchStageInterp(stage, ctx, runenv):
-    """Factory: the batch-compiled stage thread, or the fast path when the
-    stage's shape is outside the compiler (drop-in for StageInterp)."""
+    """Factory: the batch-compiled stage thread, or the reference
+    interpreter when the stage's shape is outside the compiler (drop-in
+    for StageInterp)."""
     try:
         compiler = _StageCompiler(stage, ctx, runenv)
         source, captures = compiler.compile()
         return _CompiledStage(stage, ctx, runenv, source, captures)
     except UnsupportedStage:
-        return FastStageInterp(stage, ctx, runenv)
+        return StageInterp(stage, ctx, runenv)

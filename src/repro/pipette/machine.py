@@ -11,7 +11,7 @@ full statistics the evaluation figures need.
 from ..errors import ResourceError, SimulationError
 from ..ir.verifier import verify_pipeline
 from .batchpath import BatchStageInterp
-from .fastpath import FastStageInterp, resolve_engine
+from .fastpath import resolve_engine
 from .interp import ArrayBinding, StageInterp, ThreadCtx
 from .mem import AddressMap, MemorySystem
 from .queues import HWQueue
@@ -144,27 +144,23 @@ class Machine:
     occupancy samples, and RA loads. With the default ``None`` no event
     buffer exists and the simulation is unchanged.
 
-    ``engine`` selects the stage execution engine by name (``"reference"``,
-    ``"fastpath"``, ``"batch"``); ``fastpath`` is the legacy boolean spelling
-    of the first two. ``None`` defers to ``REPRO_SLOWPATH`` / ``REPRO_ENGINE``
-    / each pipeline's ``meta`` (see
-    :func:`~repro.pipette.fastpath.resolve_engine`). All engines produce
+    ``engine`` selects the stage execution engine by name (``"reference"``
+    or ``"batch"``); ``None`` defers to ``REPRO_ENGINE``, then batch (see
+    :func:`~repro.pipette.fastpath.resolve_engine`). Both engines produce
     bit-identical :class:`SimStats`.
     """
 
     _ENGINE_CLASSES = {
         "reference": StageInterp,
-        "fastpath": FastStageInterp,
         "batch": BatchStageInterp,
     }
 
-    def __init__(self, config, tracer=None, fastpath=None, engine=None):
+    def __init__(self, config, tracer=None, engine=None):
         self.config = config
         self.stats = None
         self.mem = None
         self.envs = []
         self.tracer = tracer
-        self.fastpath = fastpath
         self.engine = engine
 
     def run(self, specs, barrier_cost=30.0):
@@ -201,9 +197,7 @@ class Machine:
         for replica, spec in enumerate(specs):
             pipeline = spec.pipeline
             verify_pipeline(pipeline, max_queues=config.max_queues, max_ras=config.max_ras)
-            engine = self._ENGINE_CLASSES[
-                resolve_engine(pipeline, self.engine, self.fastpath)
-            ]
+            engine = self._ENGINE_CLASSES[resolve_engine(pipeline, self.engine)]
             env = RunEnv(self, replica, spec, stats)
             env.shared = shared_cells
             self.envs.append(env)

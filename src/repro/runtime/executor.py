@@ -39,20 +39,18 @@ def _copy_arrays(arrays):
 
 def run_pipeline(
     pipeline, arrays, scalars, config=None, core=0, stage_cores=None, copy=True,
-    tracer=None, fastpath=None, engine=None,
+    tracer=None, engine=None,
 ):
     """Run one pipeline program; returns a :class:`RunResult`.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) opts into cycle-domain event
     tracing; the default ``None`` keeps the run trace-free and unchanged.
-    ``engine`` selects the execution engine by name (``"reference"``,
-    ``"fastpath"``, ``"batch"``); ``fastpath`` is the legacy boolean spelling
-    of the first two. ``None`` defers to ``REPRO_SLOWPATH`` / ``REPRO_ENGINE``
-    and the pipeline's ``meta``.
+    ``engine`` selects the execution engine by name (``"reference"`` or
+    ``"batch"``); ``None`` defers to ``REPRO_ENGINE``, then batch.
     """
     config = config or MachineConfig()
     bound = _copy_arrays(arrays) if copy else arrays
-    machine = Machine(config, tracer=tracer, fastpath=fastpath, engine=engine)
+    machine = Machine(config, tracer=tracer, engine=engine)
     spec = RunSpec(pipeline, bound, scalars, core=core, stage_cores=stage_cores)
     sim = machine.run(spec)
     cores_used = 1 if stage_cores is None else len(set(stage_cores))
@@ -62,18 +60,17 @@ def run_pipeline(
 
 
 def run_serial(
-    function, arrays, scalars, config=None, copy=True, tracer=None, fastpath=None,
-    engine=None,
+    function, arrays, scalars, config=None, copy=True, tracer=None, engine=None,
 ):
     """Run a serial Function as a single-stage pipeline."""
     return run_pipeline(
         serial_pipeline(function), arrays, scalars, config=config, copy=copy,
-        tracer=tracer, fastpath=fastpath, engine=engine,
+        tracer=tracer, engine=engine,
     )
 
 
 def run_replicated(
-    pipelines_and_envs, config, copy=True, tracer=None, fastpath=None, engine=None,
+    pipelines_and_envs, config, copy=True, tracer=None, engine=None,
 ):
     """Run several pipeline instances concurrently (replication, Fig. 14).
 
@@ -82,7 +79,7 @@ def run_replicated(
     shared data structures; when ``copy`` is set, identical objects are
     copied once and stay shared.
     """
-    machine = Machine(config, tracer=tracer, fastpath=fastpath, engine=engine)
+    machine = Machine(config, tracer=tracer, engine=engine)
     specs = []
     copies = {}
     for pipeline, arrays, scalars, core in pipelines_and_envs:

@@ -95,7 +95,7 @@ class TestMeasure:
 
     def test_measure_all_engines(self, tiny_scale):
         record = perf.measure_bench("bfs", scale="quick", repeats=1, engines="all")
-        assert set(record["engines"]) == {"reference", "fastpath", "batch"}
+        assert set(record["engines"]) == {"reference", "batch"}
         assert record["engines"]["reference"]["speedup"] == 1.0
         # Legacy flat keys track the primary (last, most advanced) engine.
         assert record["fast_wall_s"] == record["engines"]["batch"]["wall_s"]
@@ -106,14 +106,15 @@ class TestMeasure:
         assert set(record["engines"]) == {"reference", "batch"}
 
     def test_normalize_engines(self):
-        assert perf.normalize_engines() == ("reference", "fastpath")
-        assert perf.normalize_engines("all") == ("reference", "fastpath", "batch")
+        assert perf.normalize_engines() == ("reference", "batch")
+        assert perf.normalize_engines("all") == ("reference", "batch")
         assert perf.normalize_engines("batch") == ("reference", "batch")
-        assert perf.normalize_engines(["batch", "fastpath"]) == (
-            "reference", "fastpath", "batch",
-        )
-        with pytest.raises(perf.PerfError):
-            perf.normalize_engines("warp-drive")
+        assert perf.normalize_engines("reference") == ("reference",)
+        assert perf.normalize_engines(["batch", "reference"]) == ("reference", "batch")
+        # The retired fastpath engine is a named error, never a silent run.
+        for stale in ("warp-drive", "fastpath", ["batch", "fastpath"]):
+            with pytest.raises(perf.PerfError, match="reference, batch"):
+                perf.normalize_engines(stale)
 
 
 class TestAggregate:

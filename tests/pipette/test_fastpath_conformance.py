@@ -3,9 +3,9 @@
 Every shipped workload — the five paper benchmarks and the five
 GARDENIA-suite workloads (static, data-parallel, and manual-pipeline
 variants), the Taco kernels, and the demo figure
-output — runs under the full engine matrix (reference interpreter,
-closure-compiled fast path, batch-advance whole-stage compiler), and every
-observable must be identical: final arrays, total cycles, the full
+output — runs under the engine matrix (reference interpreter and
+batch-advance whole-stage compiler), and every observable must be
+identical: final arrays, total cycles, the full
 ``SimStats.summary()`` (stall buckets, queue traffic, cache hit counts),
 the Fig. 10 cycle breakdown, and the energy model. Any divergence is an
 engine bug by definition: the reference interpreter is the oracle.
@@ -162,22 +162,20 @@ def test_demo_stdout_identical_across_engines(tmp_path):
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     cmd = [sys.executable, "-m", "repro", "demo", "bfs", "--size", "200", "--seed", "3"]
 
-    env.pop("REPRO_SLOWPATH", None)
     env.pop("REPRO_ENGINE", None)
-    fast = subprocess.run(
+    default = subprocess.run(
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )
-    assert fast.returncode == 0, fast.stderr
+    assert default.returncode == 0, default.stderr
     env["REPRO_ENGINE"] = "batch"
     batch = subprocess.run(
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )
     assert batch.returncode == 0, batch.stderr
-    del env["REPRO_ENGINE"]
-    env["REPRO_SLOWPATH"] = "1"
+    env["REPRO_ENGINE"] = "reference"
     slow = subprocess.run(
         cmd, capture_output=True, text=True, env=env, cwd=REPO_ROOT
     )
     assert slow.returncode == 0, slow.stderr
-    assert fast.stdout == slow.stdout
+    assert default.stdout == slow.stdout
     assert batch.stdout == slow.stdout

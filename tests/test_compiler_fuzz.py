@@ -100,13 +100,12 @@ def test_compiled_equals_serial(source, passes, num_stages, seed):
 def test_engines_match_reference_interpreter(source, passes, num_stages, seed):
     """Differential fuzzing of the execution engines.
 
-    Whatever pipeline the compiler produces, the closure-compiled fast path
-    and the batch-advance whole-stage compiler must agree with the
-    reference interpreter on *time*, not just memory: final arrays, total
-    cycles, and every ``SimStats.summary()`` field. Hypothesis shrinks the
-    kernel on the first divergence, so a failure lands as a minimal
-    irregular program plus the pass subset that built the offending
-    pipeline, tagged with the engine that diverged.
+    Whatever pipeline the compiler produces, the batch-advance whole-stage
+    compiler must agree with the reference interpreter on *time*, not just
+    memory: final arrays, total cycles, and every ``SimStats.summary()``
+    field. Hypothesis shrinks the kernel on the first divergence, so a
+    failure lands as a minimal irregular program plus the pass subset that
+    built the offending pipeline, tagged with the engine that diverged.
     """
     from repro.pipette.fastpath import ENGINES
 
