@@ -7,7 +7,7 @@ input: serial, data-parallel (4 SMT threads), Phloem's automatic pipeline
 Run:  python examples/graph_analytics.py
 """
 
-from repro.core import ALL_PASSES, compile_function, pipeline_summary
+from repro.core import CompileOptions, compile_function, pipeline_summary
 from repro.pipette import SCALED_1CORE
 from repro.runtime import run_pipeline, run_serial
 from repro.workloads import bfs
@@ -39,7 +39,7 @@ def main():
     assert bfs.check(dresult.arrays, graph)
     show("data-parallel", dresult.cycles, serial.cycles)
 
-    pipeline = compile_function(function, num_stages=4, passes=ALL_PASSES)
+    pipeline = compile_function(function, options=CompileOptions(num_stages=4))
     print("\nPhloem produced: %s" % pipeline_summary(pipeline))
     for ra in pipeline.ras:
         print("   %r" % ra)

@@ -7,7 +7,7 @@ rendition of the paper's Fig. 6 ablation.
 Run:  python examples/pass_anatomy.py
 """
 
-from repro.core import compile_function, pipeline_summary
+from repro.core import CompileOptions, compile_function, pipeline_summary
 from repro.core.compiler import ALL_PASSES
 from repro.ir import format_stage
 from repro.pipette import SCALED_1CORE
@@ -34,7 +34,9 @@ def main():
 
     last = None
     for label, passes in STEPS:
-        pipeline = compile_function(function, num_stages=4, passes=passes)
+        pipeline = compile_function(
+            function, options=CompileOptions(num_stages=4, passes=passes)
+        )
         result = run_pipeline(pipeline, arrays, scalars, config=SCALED_1CORE)
         assert bfs.check(result.arrays, graph)
         print("%-36s %-40s %5.2fx" % (label, pipeline_summary(pipeline), serial.cycles / result.cycles))

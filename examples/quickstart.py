@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import ir
-from repro.core import ALL_PASSES, compile_function, emit_pipeline, pipeline_summary
+from repro.core import CompileOptions, compile_function, emit_pipeline, pipeline_summary
 from repro.frontend import compile_source
 from repro.pipette import SCALED_1CORE
 from repro.runtime import run_pipeline, run_serial
@@ -52,7 +52,7 @@ def main():
     scalars = {"n": n}
 
     print("compiling serial kernel into a 4-stage pipeline...")
-    pipeline = compile_function(function, num_stages=4, passes=ALL_PASSES)
+    pipeline = compile_function(function, options=CompileOptions(num_stages=4))
     print("  ", pipeline_summary(pipeline))
     print()
     print(emit_pipeline(pipeline))

@@ -7,7 +7,7 @@ nest. Shown for SpMV and the four-operand MTMul.
 Run:  python examples/sparse_tensor_compiler.py
 """
 
-from repro.core import ALL_PASSES, compile_c, pipeline_summary
+from repro.core import CompileOptions, compile_c, pipeline_summary
 from repro.frontend import compile_source
 from repro.pipette import SCALED_1CORE
 from repro.runtime import run_pipeline, run_serial
@@ -23,7 +23,7 @@ def demo(title, kernel, data, expected, output):
     arrays, scalars = kernel.bind(data)
     function = compile_source(kernel.source)
     serial = run_serial(function, arrays, scalars, config=SCALED_1CORE)
-    pipeline = compile_c(kernel.source, num_stages=4, passes=ALL_PASSES)
+    pipeline = compile_c(kernel.source, options=CompileOptions(num_stages=4))
     result = run_pipeline(pipeline, arrays, scalars, config=SCALED_1CORE)
     assert serial.arrays[output] == expected
     assert result.arrays[output] == expected

@@ -318,6 +318,12 @@ def _run_bench_perf(req):
 
     if req.quiet:
         obs.set_quiet(True)
+    if req.scale not in perfmod.SCALES:
+        print(
+            "unknown scale %r (choose from %s)"
+            % (req.scale, ", ".join(sorted(perfmod.SCALES)))
+        )
+        return 2, [], {}
     for bench in req.benches:
         if bench not in perfmod.SCALES["quick"]:
             print(

@@ -10,8 +10,6 @@ from .harness import (
     DP_THREADS,
     QUICK,
     BenchAdapter,
-    GraphBenchAdapter,
-    SpmmBenchAdapter,
     adapter_for,
     gmean_speedup,
     normalized_breakdowns,
@@ -25,8 +23,6 @@ __all__ = [
     "DP_THREADS",
     "QUICK",
     "BenchAdapter",
-    "GraphBenchAdapter",
-    "SpmmBenchAdapter",
     "adapter_for",
     "gmean_speedup",
     "normalized_breakdowns",

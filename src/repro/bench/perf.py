@@ -5,9 +5,10 @@ shipped kernels (the five paper kernels plus the GARDENIA suite) under the
 selected execution engines (``--engine``): the reference interpreter (the
 bit-exactness oracle and speedup denominator) and the batch-advance
 whole-stage compiler (:mod:`repro.pipette.batchpath`). Each
-run produces a versioned perf record (per-engine wall times, simulated
-cycles per second, per-phase breakdown) and the set rolls up to one
-aggregate speedup per engine, ``sum(reference walls) / sum(engine walls)``.
+run produces a versioned perf record (per-engine wall times, speedups and
+simulated cycles per second, plus the input and compile phases) and the set
+rolls up to one aggregate speedup per engine,
+``sum(reference walls) / sum(engine walls)``.
 
 Records are compared against a committed baseline (``BENCH_pipette.json``
 at the repo root):
@@ -40,7 +41,7 @@ from .harness import adapter_for
 #: Schema identity stamped on every perf record / baseline file.
 PERF_SCHEMA = "repro.bench/perf-record"
 BASELINE_SCHEMA = "repro.bench/perf-baseline"
-PERF_VERSION = 1
+PERF_VERSION = 2
 
 #: Default committed baseline, resolved against the working directory.
 BASELINE_FILE = "BENCH_pipette.json"
@@ -122,10 +123,8 @@ def input_label(spec):
 
 #: Canonical order of every engine that appears in recorded perf data. The
 #: retired closure-compiled ``fastpath`` engine is still here because its
-#: points stay in committed baselines; records without an ``engines`` map
-#: predate multi-engine runs and measured reference + fastpath.
+#: points stay in committed baselines.
 _RECORDED_ENGINES = ("reference", "fastpath", "batch")
-_LEGACY_ENGINES = ("reference", "fastpath")
 
 
 def normalize_engines(spec=None):
@@ -173,13 +172,6 @@ def _timed_run(pipeline, arrays, scalars, engine):
     return result, wall
 
 
-def primary_engine(engines):
-    """The engine a record's legacy ``fast_wall_s``/``speedup`` refer to:
-    the last engine in canonical order (batch when measured, else the
-    reference itself)."""
-    return engines[-1]
-
-
 def measure_bench(bench, scale="quick", repeats=2, engines=None):
     """Measure one kernel under ``engines``; returns a perf record dict.
 
@@ -187,11 +179,8 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
     the reference interpreter bit-for-bit and every repeat of one engine
     must report identical cycles; either failure raises :class:`PerfError`.
 
-    The record carries a per-engine ``engines`` map (wall, speedup vs
-    reference, Mcycles/s) plus the legacy flat keys ``slow_wall_s`` /
-    ``fast_wall_s`` / ``speedup``, which refer to the reference and the
-    *primary* engine (see :func:`primary_engine`) so old baselines and
-    report tooling keep working.
+    The record carries a per-engine ``engines`` map: wall, speedup vs
+    reference, and Mcycles/s.
     """
     engines = normalize_engines(engines)
     spec = SCALES[scale][bench]
@@ -244,7 +233,6 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
             "speedup": round(slow_wall / wall, 3) if wall else 0.0,
             "sim_mcycles_per_s": round(cycles / wall / 1e6, 3) if wall else 0.0,
         }
-    primary = per_engine[primary_engine(engines)]
     return {
         "schema": PERF_SCHEMA,
         "version": PERF_VERSION,
@@ -254,61 +242,35 @@ def measure_bench(bench, scale="quick", repeats=2, engines=None):
         "repeats": max(1, repeats),
         "cycles": cycles,
         "engines": per_engine,
-        "slow_wall_s": slow_wall,
-        "fast_wall_s": primary["wall_s"],
-        "speedup": primary["speedup"],
-        "sim_mcycles_per_s": primary["sim_mcycles_per_s"],
         "phases": {
             "input_s": round(input_s, 4),
             "compile_s": round(compile_s, 4),
-            "sim_slow_s": slow_wall,
-            "sim_fast_s": primary["wall_s"],
         },
     }
 
 
 def record_engines(records):
-    """Engine names measured in *every* record, in canonical order.
-
-    Pre-multi-engine records (no ``engines`` map) contribute the legacy
-    reference + fastpath pair, so aggregation over mixed lists stays sound.
-    """
+    """Engine names measured in *every* record, in canonical order."""
     common = None
     for r in records:
-        names = set(r.get("engines") or _LEGACY_ENGINES)
+        names = set(r["engines"])
         common = names if common is None else common & names
     return [e for e in _RECORDED_ENGINES if e in (common or ())]
 
 
-def _engine_wall(record, name):
-    per = record.get("engines")
-    if per is not None:
-        return per[name]["wall_s"]
-    return record["slow_wall_s"] if name == "reference" else record["fast_wall_s"]
-
-
 def aggregate(records):
-    """Roll records up to the headline ratios: total reference wall over
-    each engine's total wall, plus the legacy slow/fast pair (the fast side
-    is the last — most advanced — engine measured in every record)."""
-    engines = record_engines(records)
-    slow = sum(r["slow_wall_s"] for r in records)
+    """Roll records up to the headline ratios: ``{"engines": {name:
+    {"wall_s", "speedup"}}}``, each speedup being the total reference wall
+    over that engine's total wall."""
     per_engine = {}
-    for name in engines:
-        wall = sum(_engine_wall(r, name) for r in records)
+    slow = sum(r["engines"]["reference"]["wall_s"] for r in records)
+    for name in record_engines(records):
+        wall = sum(r["engines"][name]["wall_s"] for r in records)
         per_engine[name] = {
             "wall_s": round(wall, 4),
             "speedup": round(slow / wall, 3) if wall else 0.0,
         }
-    fast = sum(r["fast_wall_s"] for r in records)
-    agg = {
-        "slow_wall_s": round(slow, 4),
-        "fast_wall_s": round(fast, 4),
-        "speedup": round(slow / fast, 3) if fast else 0.0,
-    }
-    if per_engine:
-        agg["engines"] = per_engine
-    return agg
+    return {"engines": per_engine}
 
 
 def run_perf(benches=None, scale="quick", repeats=2, jobs=1, engines=None):
@@ -382,37 +344,22 @@ def git_describe(cwd=None):
 
 
 def history_entry(records, scale, git=None, engine=None):
-    """One compact per-engine trajectory point for the baseline history.
+    """One compact trajectory point for the baseline history.
 
-    ``engine`` selects which engine's walls the entry tracks (default: the
-    records' primary engine); records without a measurement for it (legacy
-    records, partial runs) fall back to their legacy fast-side keys.
+    The point tracks ``engine``'s walls (``fast_wall_s``) against the
+    reference's (``slow_wall_s``); ``engine`` defaults to the last engine,
+    in canonical order, that every record measured.
     """
     if engine is None:
-        engine = primary_engine(record_engines(records))
-    agg = aggregate(records)
-    per_agg = (agg.get("engines") or {}).get(engine)
-    if per_agg is not None:
-        agg = {
-            "slow_wall_s": agg["slow_wall_s"],
-            "fast_wall_s": per_agg["wall_s"],
-            "speedup": per_agg["speedup"],
-        }
-    else:
-        agg = {k: agg[k] for k in ("slow_wall_s", "fast_wall_s", "speedup")}
+        engine = record_engines(records)[-1]
+    agg = aggregate(records)["engines"]
     benches = {}
     for r in records:
-        per = (r.get("engines") or {}).get(engine)
-        if per is None:
-            per = {
-                "wall_s": r["fast_wall_s"],
-                "speedup": r["speedup"],
-                "sim_mcycles_per_s": r["sim_mcycles_per_s"],
-            }
+        per = r["engines"][engine]
         benches[r["bench"]] = {
             "cycles": r["cycles"],
             "fast_wall_s": per["wall_s"],
-            "slow_wall_s": r["slow_wall_s"],
+            "slow_wall_s": r["engines"]["reference"]["wall_s"],
             "speedup": per["speedup"],
             "sim_mcycles_per_s": per["sim_mcycles_per_s"],
         }
@@ -421,9 +368,21 @@ def history_entry(records, scale, git=None, engine=None):
         "engine": engine,
         "scale": scale,
         "recorded": time.strftime("%Y-%m-%d", time.gmtime()),
-        "aggregate": agg,
+        "aggregate": {
+            "slow_wall_s": agg["reference"]["wall_s"],
+            "fast_wall_s": agg[engine]["wall_s"],
+            "speedup": agg[engine]["speedup"],
+        },
         "benches": benches,
     }
+
+
+def history_entries(records, scale, git=None):
+    """One :func:`history_entry` per measured non-reference engine (the
+    reference's own when it ran alone)."""
+    engines = record_engines(records)
+    tracked = [e for e in engines if e != "reference"] or engines
+    return [history_entry(records, scale, git=git, engine=e) for e in tracked]
 
 
 def append_history(history, entry, limit=HISTORY_LIMIT):
@@ -469,14 +428,10 @@ def write_baseline(records, scale, path=BASELINE_FILE, git=None):
                 ]
     payload = baseline_payload(records, scale)
     git_key = git_describe() if git is None else git
-    engines = record_engines(records)
-    tracked = [e for e in engines if e != "reference"] or engines[-1:]
-    for engine in tracked:
-        # One trajectory point per measured engine: the baseline grows a
-        # multi-engine history the report can chart side by side.
-        history = append_history(
-            history, history_entry(records, scale, git=git_key, engine=engine)
-        )
+    # One trajectory point per measured engine: the baseline grows a
+    # multi-engine history the report can chart side by side.
+    for entry in history_entries(records, scale, git=git_key):
+        history = append_history(history, entry)
     payload["history"] = history
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -489,6 +444,11 @@ def read_baseline(path=BASELINE_FILE):
         payload = json.load(handle)
     if payload.get("schema") != BASELINE_SCHEMA:
         raise PerfError("%s: not a %s file" % (path, BASELINE_SCHEMA))
+    if not all("engines" in r for r in payload.get("records", [])):
+        raise PerfError(
+            "%s: records lack the per-engine engines map; re-record it with "
+            "--update-baseline" % path
+        )
     return payload
 
 
@@ -527,42 +487,20 @@ def check_against_baseline(records, baseline, threshold=DEFAULT_THRESHOLD):
                 "--update-baseline"
                 % (record["bench"], base["cycles"], record["cycles"])
             )
-        base_engines = base.get("engines") or {}
-        rec_engines = record.get("engines") or {}
-        overlap = [
-            name
-            for name in rec_engines
-            if name != "reference" and name in base_engines
-        ]
-        if overlap:
-            # Multi-engine records: compare each engine the baseline also
-            # measured, by name.
-            pairs = [
-                (
-                    "%s (%s)" % (record["bench"], name),
-                    {
-                        "fast_wall_s": base_engines[name]["wall_s"],
-                        "speedup": base_engines[name]["speedup"],
-                    },
-                    {
-                        "fast_wall_s": rec_engines[name]["wall_s"],
-                        "speedup": rec_engines[name]["speedup"],
-                    },
-                )
-                for name in overlap
-            ]
-        else:
-            pairs = [(record["bench"], base, record)]
-        for label, base_side, rec_side in pairs:
-            limit = base_side["fast_wall_s"] * (1.0 + threshold)
-            if rec_side["fast_wall_s"] > limit:
+        # Compare each engine the baseline also measured, by name.
+        for name, rec_side in record["engines"].items():
+            base_side = base["engines"].get(name)
+            if base_side is None:
+                continue
+            label = "%s (%s)" % (record["bench"], name)
+            if rec_side["wall_s"] > base_side["wall_s"] * (1.0 + threshold):
                 warnings.append(
                     "%s: engine wall %.3fs exceeds baseline %.3fs by more "
                     "than %d%%"
                     % (
                         label,
-                        rec_side["fast_wall_s"],
-                        base_side["fast_wall_s"],
+                        rec_side["wall_s"],
+                        base_side["wall_s"],
                         round(threshold * 100),
                     )
                 )
@@ -587,9 +525,10 @@ def render_table(records, agg):
     """Human-readable summary table (stdout payload of ``bench perf``).
 
     Columns adapt to the engine set: one wall column per engine plus one
-    speedup-vs-reference column per non-reference engine.
+    speedup-vs-reference column per non-reference engine. ``Mcyc/s`` is
+    the last (fastest) engine's.
     """
-    engines = record_engines(records) or list(_LEGACY_ENGINES)
+    engines = record_engines(records)
     ratio_engines = [e for e in engines if e != "reference"]
     lines = []
     header = "%-7s %-6s %12s" % ("bench", "scale", "cycles")
@@ -603,30 +542,18 @@ def render_table(records, agg):
     lines.append(header)
     lines.append("-" * len(header))
 
-    def ratio(record, name):
-        per = record.get("engines")
-        if per is not None:
-            return per[name]["speedup"]
-        return record["speedup"]
-
     for r in records:
+        per = r["engines"]
         row = "%-7s %-6s %12.0f" % (r["bench"], r["scale"], r["cycles"])
-        row += "".join(" %9.3f" % _engine_wall(r, e) for e in engines)
-        row += "".join(" %7.2fx" % ratio(r, e) for e in ratio_engines)
-        row += " %10.2f" % r["sim_mcycles_per_s"]
+        row += "".join(" %9.3f" % per[e]["wall_s"] for e in engines)
+        row += "".join(" %7.2fx" % per[e]["speedup"] for e in ratio_engines)
+        row += " %10.2f" % per[engines[-1]]["sim_mcycles_per_s"]
         lines.append(row)
     lines.append("-" * len(header))
-    agg_engines = agg.get("engines") or {}
+    per = agg["engines"]
     total = "%-7s %-6s %12s" % ("total", "", "")
-    for e in engines:
-        per = agg_engines.get(e)
-        wall = per["wall_s"] if per else (
-            agg["slow_wall_s"] if e == "reference" else agg["fast_wall_s"]
-        )
-        total += " %9.3f" % wall
-    for e in ratio_engines:
-        per = agg_engines.get(e)
-        total += " %7.2fx" % (per["speedup"] if per else agg["speedup"])
+    total += "".join(" %9.3f" % per[e]["wall_s"] for e in engines)
+    total += "".join(" %7.2fx" % per[e]["speedup"] for e in ratio_engines)
     lines.append(total)
     return "\n".join(lines)
 
@@ -637,11 +564,8 @@ def obs_records(records):
 
     out = []
     for r in records:
-        per = r.get("engines") or {
-            "reference": {"wall_s": r["slow_wall_s"], "speedup": 1.0},
-            "fastpath": {"wall_s": r["fast_wall_s"], "speedup": r["speedup"]},
-        }
-        for name in record_engines([r]) or sorted(per):
+        per = r["engines"]
+        for name in record_engines([r]):
             out.append(
                 run_record(
                     r["bench"],
@@ -662,20 +586,13 @@ def obs_records(records):
 def run_cli(args):
     """``repro bench perf`` driver; returns ``(status, records)``.
 
-    ``args`` is any object with the perf options as attributes — the
-    argparse namespace of the one-shot CLI or a
-    :class:`repro.api.BenchPerfRequest` (which carries ``scale`` directly
-    instead of the ``--quick``/``--full`` flag pair).
+    ``args`` is a :class:`repro.api.BenchPerfRequest`.
     """
     from ..obs import log
 
-    scale = getattr(args, "scale", None)
-    if scale not in SCALES:
-        scale = "full" if getattr(args, "full", False) else "quick"
-        if getattr(args, "quick", False):
-            scale = "quick"
+    scale = args.scale
     benches = list(args.benches) or None
-    engines = getattr(args, "engine", None) or None
+    engines = args.engine or None
     started = time.perf_counter()
     try:
         records = run_perf(
@@ -726,7 +643,7 @@ def run_cli(args):
         errors, warnings = check_against_baseline(
             records, baseline, threshold=args.threshold
         )
-        strict = getattr(args, "strict", False)
+        strict = args.strict
         for line in warnings:
             # Warnings are telemetry unless --strict promotes them to the
             # failure payload.
@@ -741,16 +658,13 @@ def run_cli(args):
         elif strict and warnings:
             status = 1
         else:
+            name = record_engines(records)[-1]
+            base_agg = baseline["aggregate"]["engines"].get(name)
             log(
-                "perf: baseline check ok (%d records, aggregate %.2fx vs "
-                "baseline %.2fx)",
-                len(records), agg["speedup"], baseline["aggregate"]["speedup"],
+                "perf: baseline check ok (%d records, %s aggregate %.2fx vs "
+                "baseline %s)",
+                len(records), name, agg["engines"][name]["speedup"],
+                "%.2fx" % base_agg["speedup"] if base_agg else "n/a",
             )
     log("perf: %.1fs total", time.perf_counter() - started)
     return status, records
-
-
-def main_cli(args):
-    """Status-only wrapper over :func:`run_cli` (the original entry point)."""
-    status, _records = run_cli(args)
-    return status

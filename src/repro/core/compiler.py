@@ -16,7 +16,6 @@ so the Fig. 6 ablation can reproduce each intermediate configuration.
 """
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from ..analysis.sanitize import sanitize_pipeline
@@ -40,12 +39,11 @@ ALL_PASSES = ("recompute", "cv", "dce", "handlers", "ra")
 class CompileOptions:
     """Everything that shapes a compilation, as one hashable value.
 
-    Consolidates the ``num_stages``/``passes``/``max_ras``/... kwarg sprawl
-    on :func:`compile_function`: pass ``options=CompileOptions(...)`` to the
-    compiler, the autotune search, or the bench harness. Being frozen and
-    canonically keyable (:meth:`cache_key`), an options value doubles as the
-    second half of the compiled-pipeline cache key (:mod:`repro.cache`) —
-    the first half being the content hash of the lowered IR.
+    Pass ``options=CompileOptions(...)`` to the compiler, the autotune
+    search, or the bench harness. Being frozen and canonically keyable
+    (:meth:`cache_key`), an options value doubles as the second half of the
+    compiled-pipeline cache key (:mod:`repro.cache`) — the first half being
+    the content hash of the lowered IR.
     """
 
     num_stages: int = 4
@@ -79,11 +77,6 @@ class CompileOptions:
     def replace(self, **changes):
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-    def merge(self, **overrides):
-        """A copy with every non-``None`` override applied (kwarg shims)."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self
 
     def cache_key(self):
         """Canonical one-line text of this options value (cache key half)."""
@@ -143,48 +136,19 @@ def _strip(body, target):
     body[:] = kept
 
 
-def compile_function(
-    function,
-    num_stages=None,
-    passes=None,
-    max_ras=None,
-    queue_capacity=None,
-    max_queues=None,
-    point_indices=None,
-    options=None,
-    profiler=None,
-):
+def compile_function(function, options=None, profiler=None):
     """Compile a serial function into a pipeline.
 
-    ``options`` is a :class:`CompileOptions`; the individual kwargs are
-    deprecated shims kept for the original API. Any that are passed
-    explicitly still override the corresponding ``options`` field, but the
-    shim path emits one :class:`DeprecationWarning` per call — pass
-    ``options=CompileOptions(...)`` instead. ``point_indices`` selects
-    specific ranked decoupling points (the profile-guided search drives
-    this); by default the static cost model's top choices are used.
+    ``options`` is a :class:`CompileOptions` (default: ``CompileOptions()``).
+    Its ``point_indices`` selects specific ranked decoupling points (the
+    profile-guided search drives this); by default the static cost model's
+    top choices are used.
 
     ``profiler`` (a :class:`repro.obs.PassProfiler`) records per-pass wall
     time and IR deltas; it is observation only and never part of the
     compiled-pipeline cache key.
     """
-    legacy = {
-        "num_stages": num_stages,
-        "passes": passes,
-        "max_ras": max_ras,
-        "queue_capacity": queue_capacity,
-        "max_queues": max_queues,
-        "point_indices": point_indices,
-    }
-    passed = sorted(k for k, v in legacy.items() if v is not None)
-    if passed:
-        warnings.warn(
-            "compile_function(%s=...) kwargs are deprecated; pass "
-            "options=CompileOptions(...) instead" % ", ".join(passed),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    options = (options or CompileOptions()).merge(**legacy)
+    options = options or CompileOptions()
     passes = options.passes
 
     if profiler is None:
@@ -268,13 +232,10 @@ def compile_function(
     return pipeline
 
 
-def compile_c(source, name=None, num_stages=None, passes=None, options=None, profiler=None, **kwargs):
+def compile_c(source, name=None, options=None, profiler=None):
     """Parse mini-C source and compile the (named) kernel into a pipeline."""
     function = compile_source(source, name=name)
-    return compile_function(
-        function, num_stages=num_stages, passes=passes, options=options,
-        profiler=profiler, **kwargs
-    )
+    return compile_function(function, options=options, profiler=profiler)
 
 
 def pipeline_summary(pipeline):

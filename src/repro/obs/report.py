@@ -206,7 +206,11 @@ def _classify(payload):
         reports = payload.get("reports")
         return ("lint", reports) if isinstance(reports, list) else ("skipped", None)
     if schema == PERF_BASELINE_SCHEMA:
-        return "perf", payload
+        # Every reader below takes the per-engine ``engines`` map; files
+        # from before multi-engine runs lack it and are skipped.
+        if all("engines" in r for r in payload.get("records", [])):
+            return "perf", payload
+        return "skipped", None
     if schema == TELEMETRY_SCHEMA:
         return "telemetry", payload
     if isinstance(payload.get("telemetry"), dict) and "counts" in payload:
@@ -219,26 +223,17 @@ def _classify(payload):
 
 def _trajectory_entries(perf_payload):
     """History entries of one baseline, oldest first, synthesizing one
-    from the latest records when the file predates the history list."""
+    per measured engine from the latest records when the payload has no
+    history list (a ``bench perf --json`` dump)."""
     entries = list(perf_payload.get("history") or [])
     if not entries and perf_payload.get("records"):
-        entries = [
-            {
-                "git": "(baseline)",
-                "scale": perf_payload.get("scale"),
-                "aggregate": perf_payload.get("aggregate", {}),
-                "benches": {
-                    r["bench"]: {
-                        "cycles": r.get("cycles"),
-                        "fast_wall_s": r.get("fast_wall_s"),
-                        "slow_wall_s": r.get("slow_wall_s"),
-                        "speedup": r.get("speedup"),
-                        "sim_mcycles_per_s": r.get("sim_mcycles_per_s"),
-                    }
-                    for r in perf_payload["records"]
-                },
-            }
-        ]
+        from ..bench.perf import history_entries
+
+        entries = history_entries(
+            perf_payload["records"], perf_payload.get("scale"), git="(baseline)"
+        )
+        for entry in entries:
+            del entry["recorded"]  # the payload does not say when it ran
     return entries
 
 
@@ -379,38 +374,17 @@ def _engine_sorted(names):
 
 
 def _perf_rows(payload):
+    """One row per record: a wall column per engine, a speedup column per
+    non-reference engine, and the last (fastest) engine's Mcyc/s."""
     records = payload.get("records", [])
-    names = []
-    for r in records:
-        for name in r.get("engines") or ():
-            if name not in names:
-                names.append(name)
-    if not names:
-        # Legacy two-engine records: the original fixed columns.
-        rows = [
-            [
-                r.get("bench"),
-                _fmt_num(float(r.get("cycles", 0)), 0),
-                _fmt_num(r.get("slow_wall_s"), 3),
-                _fmt_num(r.get("fast_wall_s"), 3),
-                "%sx" % _fmt_num(r.get("speedup")),
-                _fmt_num(r.get("sim_mcycles_per_s")),
-            ]
-            for r in records
-        ]
-        return ["bench", "cycles", "slow (s)", "fast (s)", "speedup", "Mcyc/s"], rows
-
-    names = _engine_sorted(names)
+    names = _engine_sorted({name for r in records for name in r["engines"]})
     header = ["bench", "cycles"]
     header += ["%s (s)" % _ENGINE_LABELS.get(n, n) for n in names]
     header += ["%s (x)" % _ENGINE_LABELS.get(n, n) for n in names if n != "reference"]
     header.append("Mcyc/s")
     rows = []
     for r in records:
-        engines = r.get("engines") or {
-            "reference": {"wall_s": r.get("slow_wall_s"), "speedup": 1.0},
-            "fastpath": {"wall_s": r.get("fast_wall_s"), "speedup": r.get("speedup")},
-        }
+        engines = r["engines"]
         row = [r.get("bench"), _fmt_num(float(r.get("cycles", 0)), 0)]
         row += [_fmt_num((engines.get(n) or {}).get("wall_s"), 3) for n in names]
         row += [
@@ -418,27 +392,25 @@ def _perf_rows(payload):
             for n in names
             if n != "reference"
         ]
-        row.append(_fmt_num(r.get("sim_mcycles_per_s")))
+        row.append(_fmt_num((engines.get(names[-1]) or {}).get("sim_mcycles_per_s")))
         rows.append(row)
     return header, rows
 
 
-def _perf_aggregate_text(agg):
-    """The parenthetical after the headline aggregate speedup."""
-    engines = agg.get("engines")
-    if not engines:
-        return "slow %ss / fast %ss" % (
-            _fmt_num(agg.get("slow_wall_s"), 3),
-            _fmt_num(agg.get("fast_wall_s"), 3),
-        )
+def _perf_aggregate(agg):
+    """``(headline, parenthetical)`` for one aggregate: the headline is the
+    last (fastest) engine's speedup, the parenthetical every engine's."""
+    engines = agg["engines"]
+    names = _engine_sorted(engines)
     bits = []
-    for name in _engine_sorted(engines):
-        row = engines[name] or {}
+    for name in names:
+        row = engines[name]
         bit = "%s %ss" % (_ENGINE_LABELS.get(name, name), _fmt_num(row.get("wall_s"), 3))
         if name != "reference":
             bit += " %sx" % _fmt_num(row.get("speedup"))
         bits.append(bit)
-    return "; ".join(bits)
+    headline = _fmt_num(engines[names[-1]].get("speedup")) if names else "-"
+    return headline, "; ".join(bits)
 
 
 def _trajectory_rows(report):
@@ -641,12 +613,8 @@ def render_markdown(report):
         out += ["", "## Simulator performance (%s scale)" % payload.get("scale"), ""]
         header, rows = _perf_rows(payload)
         out += _md_table(header, rows)
-        agg = payload.get("aggregate", {})
         out.append("")
-        out.append(
-            "Aggregate: **%sx** (%s)."
-            % (_fmt_num(agg.get("speedup")), _perf_aggregate_text(agg))
-        )
+        out.append("Aggregate: **%sx** (%s)." % _perf_aggregate(payload["aggregate"]))
 
     sparks = _trajectory_sparks(report)
     if sparks:
@@ -768,10 +736,9 @@ def render_html(report):
             "<h2>Simulator performance (%s scale)</h2>" % esc(str(payload.get("scale")))
         )
         parts.append(_html_table(*_perf_rows(payload)))
-        agg = payload.get("aggregate", {})
+        headline, text = _perf_aggregate(payload["aggregate"])
         parts.append(
-            "<p>Aggregate <strong>%sx</strong> (%s).</p>"
-            % (esc(_fmt_num(agg.get("speedup"))), esc(_perf_aggregate_text(agg)))
+            "<p>Aggregate <strong>%sx</strong> (%s).</p>" % (esc(headline), esc(text))
         )
 
     sparks = _trajectory_sparks(report)

@@ -217,13 +217,13 @@ class MemorySystem:
         lookup (batchpath, the RA loop) can share the walk below it. The
         caller has already updated L2 tag state and counters.
         """
-        cfg = self.config
         l2 = self.l2[core]
-        if self.l3.access(line):
+        l3 = self.l3
+        if l3.access(line):
             l2.fill(line)
-            return cfg.l3.latency
-        latency = cfg.l3.latency + self._dram(line, now)
-        self.l3.fill(line)
+            return l3.latency
+        latency = l3.latency + self._dram(line, now)
+        l3.fill(line)
         l2.fill(line)
         return latency
 

@@ -163,3 +163,9 @@ class TestReport:
         )
         assert response.exit_code == 2
         assert "not found" in response.output
+
+
+def test_bench_perf_rejects_unknown_scale():
+    response = api.handle(api.BenchPerfRequest(benches=("bfs",), scale="huge"))
+    assert response.exit_code == 2
+    assert "unknown scale 'huge'" in response.output

@@ -4,8 +4,6 @@ import pytest
 
 from repro.bench.harness import (
     BenchAdapter,
-    GraphBenchAdapter,
-    SpmmBenchAdapter,
     VariantRun,
     adapter_for,
     gmean_speedup,
@@ -14,7 +12,6 @@ from repro.bench.harness import (
     profile_guided_pipeline,
     run_suite,
 )
-from repro.core import CompileOptions
 from repro.workloads import bfs, prd, spmm
 from repro.workloads.datasets import GraphInput, MatrixInput
 from repro.workloads.graphs import uniform_random
@@ -30,9 +27,7 @@ def micro_inputs():
 
 
 def test_unified_adapter_aliases():
-    """The graph/SpMM adapters merged; the old names still resolve."""
-    assert GraphBenchAdapter is BenchAdapter
-    assert SpmmBenchAdapter is BenchAdapter
+    """One adapter class serves graph and matrix benchmarks alike."""
     assert adapter_for("spmm").module is spmm
     assert adapter_for(bfs).name == "bfs"
 
@@ -56,7 +51,7 @@ def test_gmean_speedup():
 
 
 def test_profile_guided_pipeline(micro_inputs, tiny_config):
-    adapter = GraphBenchAdapter(bfs)
+    adapter = BenchAdapter(bfs)
     best, results = profile_guided_pipeline(
         adapter, micro_inputs, config=tiny_config, max_stages=3, top_k=3
     )
@@ -65,7 +60,7 @@ def test_profile_guided_pipeline(micro_inputs, tiny_config):
 
 
 def test_run_suite_end_to_end(micro_inputs, tiny_config):
-    adapter = GraphBenchAdapter(bfs)
+    adapter = BenchAdapter(bfs)
     suite = run_suite(
         adapter,
         micro_inputs[:1],
@@ -85,22 +80,6 @@ def test_run_suite_end_to_end(micro_inputs, tiny_config):
     assert abs(primary - 1.0) < 1e-9
     energy = normalized_energy(suite)
     assert abs(sum(energy["serial"].values()) - 1.0) < 1e-9
-
-
-def test_run_suite_options_equals_legacy_kwargs(micro_inputs, tiny_config):
-    """CompileOptions and the num_stages shim steer the same compilation."""
-    adapter = adapter_for("bfs")
-    via_kwarg = run_suite(
-        adapter, micro_inputs[:1], [], config=tiny_config,
-        variants=("serial", "phloem-static"), num_stages=3,
-    )
-    via_options = run_suite(
-        adapter, micro_inputs[:1], [], config=tiny_config,
-        variants=("serial", "phloem-static"), options=CompileOptions(num_stages=3),
-    )
-    assert (
-        via_options["phloem-static"][0].cycles == via_kwarg["phloem-static"][0].cycles
-    )
 
 
 def test_run_suite_matrix_benchmark(tiny_config):

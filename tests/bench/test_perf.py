@@ -31,7 +31,20 @@ def tiny_scale(monkeypatch):
     monkeypatch.setitem(perf.SCALES, "quick", TINY_INPUTS)
 
 
+def _engines(cycles, **walls):
+    """A record's ``engines`` map; speedups are against ``reference``."""
+    return {
+        name: {
+            "wall_s": wall,
+            "speedup": round(walls["reference"] / wall, 3),
+            "sim_mcycles_per_s": round(cycles / wall / 1e6, 3),
+        }
+        for name, wall in walls.items()
+    }
+
+
 def _record(bench="bfs", cycles=1000, slow=2.0, fast=1.0, **over):
+    """A record measuring the reference (``slow``) and batch (``fast``)."""
     record = {
         "schema": perf.PERF_SCHEMA,
         "version": perf.PERF_VERSION,
@@ -40,36 +53,20 @@ def _record(bench="bfs", cycles=1000, slow=2.0, fast=1.0, **over):
         "input": "power_law(deg=3,n=120,seed=7)",
         "repeats": 2,
         "cycles": cycles,
-        "slow_wall_s": slow,
-        "fast_wall_s": fast,
-        "speedup": round(slow / fast, 3),
-        "sim_mcycles_per_s": round(cycles / fast / 1e6, 3),
-        "phases": {},
+        "engines": _engines(cycles, reference=slow, batch=fast),
+        "phases": {"input_s": 0.01, "compile_s": 0.01},
     }
     record.update(over)
     return record
 
 
 def _multi_record(bench="bfs", cycles=1000, slow=4.0, fast=2.0, batch=1.0, **over):
-    """A record as the multi-engine harness emits it (``--engine all``)."""
-
-    def per(wall):
-        return {
-            "wall_s": wall,
-            "speedup": round(slow / wall, 3),
-            "sim_mcycles_per_s": round(cycles / wall / 1e6, 3),
-        }
-
+    """A record that also carries the retired fastpath engine, as the
+    committed baseline's do."""
     return _record(
         bench=bench,
         cycles=cycles,
-        slow=slow,
-        fast=batch,  # legacy fast side tracks the primary (last) engine
-        engines={
-            "reference": per(slow),
-            "fastpath": per(fast),
-            "batch": per(batch),
-        },
+        engines=_engines(cycles, reference=slow, fastpath=fast, batch=batch),
         **over,
     )
 
@@ -78,15 +75,17 @@ class TestMeasure:
     def test_measure_bench_record_shape(self, tiny_scale):
         record = perf.measure_bench("bfs", scale="quick", repeats=1)
         assert record["schema"] == perf.PERF_SCHEMA
+        assert record["version"] == perf.PERF_VERSION == 2
+        assert set(record) == {
+            "schema", "version", "bench", "scale", "input", "repeats",
+            "cycles", "engines", "phases",
+        }
         assert record["bench"] == "bfs"
         assert record["cycles"] > 0
-        assert record["slow_wall_s"] > 0 and record["fast_wall_s"] > 0
-        assert record["speedup"] == round(
-            record["slow_wall_s"] / record["fast_wall_s"], 3
-        )
-        assert set(record["phases"]) == {
-            "input_s", "compile_s", "sim_slow_s", "sim_fast_s",
-        }
+        ref, batch = record["engines"]["reference"], record["engines"]["batch"]
+        assert ref["wall_s"] > 0 and batch["wall_s"] > 0
+        assert batch["speedup"] == round(ref["wall_s"] / batch["wall_s"], 3)
+        assert set(record["phases"]) == {"input_s", "compile_s"}
 
     def test_repeats_agree_on_cycles(self, tiny_scale):
         one = perf.measure_bench("spmm", scale="quick", repeats=1)
@@ -97,9 +96,6 @@ class TestMeasure:
         record = perf.measure_bench("bfs", scale="quick", repeats=1, engines="all")
         assert set(record["engines"]) == {"reference", "batch"}
         assert record["engines"]["reference"]["speedup"] == 1.0
-        # Legacy flat keys track the primary (last, most advanced) engine.
-        assert record["fast_wall_s"] == record["engines"]["batch"]["wall_s"]
-        assert record["speedup"] == record["engines"]["batch"]["speedup"]
 
     def test_single_engine_selection_keeps_reference(self, tiny_scale):
         record = perf.measure_bench("spmm", scale="quick", repeats=1, engines="batch")
@@ -121,9 +117,12 @@ class TestAggregate:
     def test_aggregate_is_total_ratio(self):
         records = [_record(slow=3.0, fast=1.0), _record(bench="cc", slow=1.0, fast=1.0)]
         agg = perf.aggregate(records)
-        assert agg["slow_wall_s"] == 4.0
-        assert agg["fast_wall_s"] == 2.0
-        assert agg["speedup"] == 2.0
+        assert agg == {
+            "engines": {
+                "reference": {"wall_s": 4.0, "speedup": 1.0},
+                "batch": {"wall_s": 2.0, "speedup": 2.0},
+            }
+        }
 
     def test_aggregate_per_engine(self):
         records = [
@@ -136,11 +135,11 @@ class TestAggregate:
         assert agg["engines"]["batch"] == {"wall_s": 2.0, "speedup": 3.0}
 
     def test_aggregate_mixed_records_uses_common_engines(self):
-        # A legacy record has no batch measurement: the batch aggregate
+        # One record has no fastpath measurement: the fastpath aggregate
         # would be meaningless, so only the common engine set is rolled up.
         records = [_multi_record(), _record(bench="cc")]
         agg = perf.aggregate(records)
-        assert set(agg["engines"]) == {"reference", "fastpath"}
+        assert set(agg["engines"]) == {"reference", "batch"}
 
 
 class TestBaseline:
@@ -151,12 +150,20 @@ class TestBaseline:
         loaded = perf.read_baseline(path)
         assert loaded == json.loads(json.dumps(written))
         assert loaded["schema"] == perf.BASELINE_SCHEMA
-        assert loaded["aggregate"]["speedup"] == 2.0
+        assert loaded["aggregate"]["engines"]["batch"]["speedup"] == 2.0
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"schema": "something-else"}')
         with pytest.raises(perf.PerfError):
+            perf.read_baseline(str(path))
+
+    def test_rejects_records_without_engine_map(self, tmp_path):
+        payload = perf.baseline_payload([_record()], "quick")
+        del payload["records"][0]["engines"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(perf.PerfError, match="engines map"):
             perf.read_baseline(str(path))
 
     def test_cycles_mismatch_is_error(self):
@@ -214,21 +221,22 @@ class TestBaseline:
         )
         assert not errors and not warnings
 
-    def test_legacy_record_against_multi_engine_baseline(self):
-        # A fresh legacy record has no per-engine map: the comparison falls
-        # back to the flat keys rather than crashing or double-counting.
-        baseline = perf.baseline_payload([_multi_record()], "quick")
-        errors, warnings = perf.check_against_baseline(
-            [_record(slow=4.0, fast=1.0)], baseline, threshold=0.25
-        )
-        assert not errors and not warnings
+    def test_reference_only_run_compares_the_reference_wall(self):
+        # A ``--engine reference`` run checks against the baseline's own
+        # reference measurement, by name.
+        baseline = perf.baseline_payload([_multi_record(slow=4.0)], "quick")
+        fresh = _record(slow=6.0)
+        fresh["engines"] = {"reference": fresh["engines"]["reference"]}
+        errors, warnings = perf.check_against_baseline([fresh], baseline)
+        assert not errors
+        assert len(warnings) == 1 and "bfs (reference)" in warnings[0]
 
 
 class TestHistory:
     def test_history_entry_is_compact_and_keyed(self):
         entry = perf.history_entry([_record()], "quick", git="abc1234")
         assert entry["git"] == "abc1234"
-        assert entry["engine"] == "fastpath"
+        assert entry["engine"] == "batch"
         assert entry["scale"] == "quick"
         assert entry["aggregate"]["speedup"] == 2.0
         assert entry["benches"]["bfs"]["cycles"] == 1000
@@ -262,8 +270,8 @@ class TestHistory:
         assert [e["git"] for e in loaded["history"]] == ["aaa", "bbb"]
         # Top-level records stay the latest measurement: the regression
         # baseline the checker reads.
-        assert loaded["records"][0]["fast_wall_s"] == 0.5
-        assert loaded["aggregate"]["speedup"] == 4.0
+        assert loaded["records"][0]["engines"]["batch"]["wall_s"] == 0.5
+        assert loaded["aggregate"]["engines"]["batch"]["speedup"] == 4.0
 
     def test_pre_history_baseline_contributes_one_synthesized_point(self, tmp_path):
         path = str(tmp_path / "baseline.json")
@@ -291,6 +299,24 @@ class TestHistory:
         assert by_engine["fastpath"]["benches"]["bfs"]["fast_wall_s"] == 2.0
         assert by_engine["batch"]["benches"]["bfs"]["fast_wall_s"] == 1.0
         assert by_engine["batch"]["aggregate"]["speedup"] == 4.0
+
+
+class TestCommittedBaseline:
+    """The committed ``BENCH_pipette.json`` (written as perf-record v1)
+    stays readable by the engines-only readers."""
+
+    @pytest.fixture
+    def committed(self):
+        return perf.read_baseline(os.path.join(REPO_ROOT, perf.BASELINE_FILE))
+
+    def test_checks_clean_against_itself(self, committed):
+        records = committed["records"]
+        assert perf.check_against_baseline(records, committed) == ([], [])
+
+    def test_aggregate_reproduces_committed_engines(self, committed):
+        agg = perf.aggregate(committed["records"])
+        assert agg["engines"] == committed["aggregate"]["engines"]
+        assert set(agg["engines"]) == {"reference", "fastpath", "batch"}
 
 
 class _FakeCompleted:
@@ -363,7 +389,7 @@ class TestRendering:
     def test_obs_records_one_per_engine(self):
         out = perf.obs_records([_record()])
         assert len(out) == 2
-        assert {r["variant"] for r in out} == {"engine-reference", "engine-fastpath"}
+        assert {r["variant"] for r in out} == {"engine-reference", "engine-batch"}
         assert all(r["schema"] == "repro.obs/run-record" for r in out)
         assert all(r["cycles"] == 1000 for r in out)
 

@@ -3,7 +3,7 @@
 import pytest
 from dataclasses import replace
 
-from repro.core import compile_function, replicate_pipeline
+from repro.core import CompileOptions, compile_function, replicate_pipeline
 from repro.core.compiler import ALL_PASSES
 from repro.errors import CompileError
 from repro.runtime import run_replicated
@@ -12,7 +12,7 @@ from repro.workloads import bfs, cc, replicated
 
 @pytest.fixture(scope="module")
 def compiled_bfs():
-    return compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    return compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
 
 
 def test_clone_count_and_meta(compiled_bfs):
@@ -64,7 +64,7 @@ def test_shared_cells_renamed_per_replica(compiled_bfs):
 
 
 def test_non_flat_pipeline_rejected():
-    pipe = compile_function(cc.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(cc.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     with pytest.raises(CompileError, match="flat distributable stream"):
         replicate_pipeline(pipe, 2)
 
@@ -89,7 +89,7 @@ def test_replicate_pragma_recorded(micro_graph, tiny_config):
 
     function = compile_source(source)
     assert function.pragmas["replicate"] == 2
-    pipeline = compile_function(function, num_stages=4, passes=ALL_PASSES)
+    pipeline = compile_function(function, options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     assert pipeline.meta["replicate"] == 2
     clones = replicate_pipeline(pipeline, pipeline.meta["replicate"])
     envs = replicated.make_envs("bfs", micro_graph, 2)

@@ -1,12 +1,12 @@
 """ASCII pipeline diagrams."""
 
-from repro.core import ascii_diagram, compile_function
+from repro.core import CompileOptions, ascii_diagram, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.workloads import bfs
 
 
 def test_bfs_diagram_chain():
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     text = ascii_diagram(pipe)
     lines = text.splitlines()
     assert lines[0] == "pipeline bfs"
@@ -18,13 +18,13 @@ def test_bfs_diagram_chain():
 
 
 def test_serial_diagram():
-    pipe = compile_function(bfs.function(), num_stages=1, passes=())
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=1, passes=()))
     text = ascii_diagram(pipe)
     assert "bfs]" in text or "update" in text or "[0:" in text
 
 
 def test_q_only_diagram_has_all_queues():
-    pipe = compile_function(bfs.function(), num_stages=4, passes=())
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=()))
     text = ascii_diagram(pipe)
     for qid in pipe.queues:
         assert "q%d" % qid in text

@@ -125,7 +125,7 @@ def test_arg_count_mismatch():
 
 def test_inlined_kernel_pipelines(tiny_config):
     """End to end: an inlined two-level indirection decouples and runs."""
-    from repro.core import ALL_PASSES, compile_function
+    from repro.core import ALL_PASSES, CompileOptions, compile_function
     from repro.runtime import run_pipeline
 
     src = """
@@ -140,7 +140,7 @@ def test_inlined_kernel_pipelines(tiny_config):
     }
     """
     f = compile_source(src, name="driver")
-    pipe = compile_function(f, num_stages=3, passes=ALL_PASSES)
+    pipe = compile_function(f, options=CompileOptions(num_stages=3, passes=ALL_PASSES))
     assert len(pipe.stages) + len(pipe.ras) >= 3
     a = [2, 0, 1, 2]
     table = [10, 11, 12]

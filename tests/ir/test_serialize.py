@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.errors import PhloemError
 from repro.ir import canonical_function, canonical_pipeline, fingerprint
 from repro.workloads import bfs, spmm
@@ -17,7 +17,7 @@ def test_fingerprint_stable_under_clone():
 
 
 def test_pipeline_fingerprint_stable_under_clone():
-    pipeline = compile_function(bfs.function(), num_stages=3)
+    pipeline = compile_function(bfs.function(), options=CompileOptions(num_stages=3))
     assert fingerprint(pipeline) == fingerprint(pipeline.clone())
 
 
@@ -27,21 +27,23 @@ def test_fingerprint_distinguishes_functions():
 
 def test_fingerprint_tracks_pipeline_shape():
     fn = bfs.function()
-    p2 = compile_function(fn, num_stages=2)
-    p4 = compile_function(fn, num_stages=4)
+    p2 = compile_function(fn, options=CompileOptions(num_stages=2))
+    p4 = compile_function(fn, options=CompileOptions(num_stages=4))
     assert fingerprint(p2) != fingerprint(p4)
 
 
 def test_pipeline_meta_excluded():
     fn = bfs.function()
-    a = compile_function(fn, num_stages=3)
-    b = compile_function(fn, num_stages=3)
+    a = compile_function(fn, options=CompileOptions(num_stages=3))
+    b = compile_function(fn, options=CompileOptions(num_stages=3))
     b.meta["provenance"] = "different"
     assert fingerprint(a) == fingerprint(b)
 
 
 def test_canonical_text_covers_queues_and_stages():
-    text = canonical_pipeline(compile_function(bfs.function(), num_stages=3))
+    text = canonical_pipeline(compile_function(
+        bfs.function(), options=CompileOptions(num_stages=3)
+    ))
     assert text.startswith("pipeline ")
     assert "queue " in text and "stage " in text
 

@@ -12,7 +12,7 @@ def _function():
 
 def test_profiler_records_every_pass_with_deltas():
     profiler = PassProfiler()
-    compile_function(_function(), num_stages=4, profiler=profiler)
+    compile_function(_function(), options=CompileOptions(num_stages=4), profiler=profiler)
     names = [r.name for r in profiler.records]
     # decouple always runs and always finalizes; optional passes in order.
     assert names[-1] == "finalize"
@@ -30,28 +30,32 @@ def test_profiler_records_every_pass_with_deltas():
 
 def test_phase_transform_recorded_for_phased_kernels():
     profiler = PassProfiler()
-    compile_function(_function(), num_stages=4, profiler=profiler)
+    compile_function(_function(), options=CompileOptions(num_stages=4), profiler=profiler)
     # BFS has a convergence loop, so the phases prepass fires and records.
     assert any(r.name == "phases" for r in profiler.records)
 
 
 def test_pass_subset_profiles_only_requested_passes():
     profiler = PassProfiler()
-    compile_function(_function(), num_stages=4, passes=("recompute",), profiler=profiler)
+    compile_function(
+        _function(), options=CompileOptions(num_stages=4, passes=("recompute",)), profiler=profiler
+    )
     names = {r.name for r in profiler.records}
     assert "recompute" in names
     assert "ra" not in names and "cv" not in names
 
 
 def test_profiler_does_not_change_compilation():
-    plain = compile_function(_function(), num_stages=4)
-    profiled = compile_function(_function(), num_stages=4, profiler=PassProfiler())
+    plain = compile_function(_function(), options=CompileOptions(num_stages=4))
+    profiled = compile_function(
+        _function(), options=CompileOptions(num_stages=4), profiler=PassProfiler()
+    )
     assert fingerprint(plain) == fingerprint(profiled)
 
 
 def test_snapshots_capture_ir_text():
     profiler = PassProfiler(snapshots=True)
-    compile_function(_function(), num_stages=4, profiler=profiler)
+    compile_function(_function(), options=CompileOptions(num_stages=4), profiler=profiler)
     decouple = next(r for r in profiler.records if r.name == "decouple")
     assert "pipeline" in decouple.ir_after
     assert decouple.ir_before != decouple.ir_after

@@ -59,7 +59,8 @@ def test_jsonl_round_trip(tmp_path):
     records = [run_record("bfs", "serial", "g1", 10.0), run_record("bfs", "manual", "g1", 4.0)]
     path = str(tmp_path / "runs.jsonl")
     write_jsonl(records, path)
-    lines = open(path).read().strip().splitlines()
+    with open(path) as handle:
+        lines = handle.read().strip().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line) for line in lines)
     assert read_jsonl(path) == records

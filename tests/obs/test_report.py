@@ -1,6 +1,8 @@
 """Report aggregation over synthesized results trees, plus both renderers."""
 
 import json
+import pathlib
+import shutil
 from html.parser import HTMLParser
 
 import pytest
@@ -16,6 +18,8 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.report import ExperimentReport
+
+BASELINE = pathlib.Path(__file__).resolve().parents[2] / "BENCH_pipette.json"
 
 
 def _run(bench, variant, cycles, speedup=None, breakdown=None, cache=None):
@@ -34,24 +38,29 @@ def _run(bench, variant, cycles, speedup=None, breakdown=None, cache=None):
 def _perf_baseline(with_history=True):
     record = {
         "schema": "repro.bench/perf-record",
-        "version": 1,
+        "version": 2,
         "bench": "bfs",
         "scale": "quick",
         "input": "power_law(deg=3,n=120,seed=7)",
         "repeats": 2,
         "cycles": 5000,
-        "slow_wall_s": 2.0,
-        "fast_wall_s": 1.0,
-        "speedup": 2.0,
-        "sim_mcycles_per_s": 0.005,
-        "phases": {},
+        "engines": {
+            "reference": {"wall_s": 2.0, "speedup": 1.0, "sim_mcycles_per_s": 0.0025},
+            "batch": {"wall_s": 1.0, "speedup": 2.0, "sim_mcycles_per_s": 0.005},
+        },
+        "phases": {"input_s": 0.01, "compile_s": 0.01},
     }
     payload = {
         "schema": "repro.bench/perf-baseline",
-        "version": 1,
+        "version": 2,
         "scale": "quick",
         "records": [record],
-        "aggregate": {"slow_wall_s": 2.0, "fast_wall_s": 1.0, "speedup": 2.0},
+        "aggregate": {
+            "engines": {
+                "reference": {"wall_s": 2.0, "speedup": 1.0},
+                "batch": {"wall_s": 1.0, "speedup": 2.0},
+            }
+        },
     }
     if with_history:
         payload["history"] = [
@@ -80,16 +89,12 @@ def _multi_engine_perf():
     plus a history interleaving fastpath and batch points."""
     record = {
         "schema": "repro.bench/perf-record",
-        "version": 1,
+        "version": 2,
         "bench": "bfs",
         "scale": "quick",
         "repeats": 2,
         "cycles": 5000,
-        "slow_wall_s": 4.0,
-        "fast_wall_s": 1.0,
-        "speedup": 4.0,
-        "sim_mcycles_per_s": 0.005,
-        "phases": {},
+        "phases": {"input_s": 0.01, "compile_s": 0.01},
         "engines": {
             "reference": {"wall_s": 4.0, "speedup": 1.0, "sim_mcycles_per_s": 0.00125},
             "fastpath": {"wall_s": 2.0, "speedup": 2.0, "sim_mcycles_per_s": 0.0025},
@@ -111,13 +116,10 @@ def _multi_engine_perf():
             )
     return {
         "schema": "repro.bench/perf-baseline",
-        "version": 1,
+        "version": 2,
         "scale": "quick",
         "records": [record],
         "aggregate": {
-            "slow_wall_s": 4.0,
-            "fast_wall_s": 1.0,
-            "speedup": 4.0,
             "engines": {
                 "reference": {"wall_s": 4.0, "speedup": 1.0},
                 "fastpath": {"wall_s": 2.0, "speedup": 2.0},
@@ -279,7 +281,17 @@ class TestCollect:
         )
         report = collect(str(tmp_path))
         assert [e["git"] for e in report.trajectory] == ["(baseline)"]
+        assert report.trajectory[0]["engine"] == "batch"
+        assert report.trajectory[0]["aggregate"]["speedup"] == 2.0
         assert report.trajectory[0]["benches"]["bfs"]["cycles"] == 5000
+
+    def test_perf_file_without_engine_map_is_skipped(self, tmp_path):
+        payload = _perf_baseline()
+        del payload["records"][0]["engines"]
+        (tmp_path / "perf.json").write_text(json.dumps(payload))
+        report = collect(str(tmp_path))
+        assert report.perf == [] and report.trajectory == []
+        assert report.sources == [{"file": "perf.json", "kind": "skipped", "items": 0}]
 
     def test_extra_files_pulled_in_once(self, results_dir, tmp_path):
         baseline = str(tmp_path / "perf.json")  # already inside the walk
@@ -339,6 +351,24 @@ class TestMarkdown:
         # engine, in canonical order.
         assert "| ref (s) | fast (s) | batch (s) | fast (x) | batch (x) |" in text
         assert "Aggregate: **4.00x** (ref 4.000s; fast 2.000s 2.00x; batch 1.000s 4.00x)." in text
+
+    def test_committed_baseline_fills_every_engine_column(self, tmp_path):
+        shutil.copy(BASELINE, tmp_path / BASELINE.name)
+        text = render_markdown(collect(str(tmp_path)))
+        lines = text.splitlines()
+        header = (
+            "| bench | cycles | ref (s) | fast (s) | batch (s) | fast (x) | batch (x)"
+            " | Mcyc/s |"
+        )
+        start = lines.index(header) + 2  # skip the |---| rule
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        assert len(rows) == len(json.loads(BASELINE.read_text())["records"])
+        assert all("-" not in row for row in rows), rows
+        assert "Aggregate: **3.30x** (ref 31.451s; fast 15.851s 1.98x; batch 9.538s 3.30x)." in text
 
     def test_trajectory_sparks_grouped_per_engine(self, tmp_path):
         (tmp_path / "perf.json").write_text(json.dumps(_multi_engine_perf()))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import adapter_for
-from repro.core.compiler import compile_function
+from repro.core.compiler import CompileOptions, compile_function
 from repro.obs import Tracer, export_chrome_trace, validate_chrome_trace
 from repro.runtime.executor import run_pipeline, run_serial
 from repro.workloads.graphs import uniform_random
@@ -12,7 +12,7 @@ from repro.workloads.graphs import uniform_random
 @pytest.fixture(scope="module")
 def bfs_setup():
     adapter = adapter_for("bfs")
-    pipeline = compile_function(adapter.function(), num_stages=4)
+    pipeline = compile_function(adapter.function(), options=CompileOptions(num_stages=4))
     arrays, scalars = adapter.env(uniform_random(300, 5, seed=3))
     return pipeline, arrays, scalars
 

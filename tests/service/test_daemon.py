@@ -2,9 +2,11 @@
 
 import asyncio
 import contextlib
+import gc
 import json
 import socket
 import threading
+import warnings
 
 import pytest
 
@@ -44,6 +46,17 @@ def serving(tmp_path, **kwargs):
             client.shutdown()
         thread.join(10)
         assert not thread.is_alive(), "daemon did not shut down"
+
+
+def test_failed_wait_ready_closes_every_socket(tmp_path):
+    client = ServiceClient(socket_path=str(tmp_path / "missing.sock"), timeout=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ServiceError, match="cannot reach daemon"):
+            client.wait_ready(timeout=0.2, interval=0.05)
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaked, [str(w.message) for w in leaked]
 
 
 def test_ping_identifies_daemon(tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import compile_c
+from repro.core import CompileOptions, compile_c
 from repro.frontend import compile_source
 from repro.runtime import run_pipeline, run_serial
 from repro.taco import (
@@ -39,7 +39,7 @@ class TestSpMV:
         expected = ref_spmv(matrix, x)
         f = compile_source(kernel.source)
         assert run_serial(f, arrays, scalars, config=tiny_config).arrays["y"] == expected
-        pipe = compile_c(kernel.source, num_stages=4)
+        pipe = compile_c(kernel.source, options=CompileOptions(num_stages=4))
         assert run_pipeline(pipe, arrays, scalars, config=tiny_config).arrays["y"] == expected
         dp = stripe_data_parallel(f, 3)
         dp_scalars = dict(scalars, nthreads=3)
@@ -55,7 +55,7 @@ class TestResidual:
         expected = ref_residual(matrix, x, b)
         f = compile_source(kernel.source)
         assert run_serial(f, arrays, scalars, config=tiny_config).arrays["y"] == expected
-        pipe = compile_c(kernel.source, num_stages=4)
+        pipe = compile_c(kernel.source, options=CompileOptions(num_stages=4))
         assert run_pipeline(pipe, arrays, scalars, config=tiny_config).arrays["y"] == expected
 
 
@@ -70,7 +70,7 @@ class TestMTMul:
         expected = ref_mtmul(matrix, x, z)
         f = compile_source(kernel.source)
         assert run_serial(f, arrays, scalars, config=tiny_config).arrays["y"] == expected
-        pipe = compile_c(kernel.source, num_stages=4)
+        pipe = compile_c(kernel.source, options=CompileOptions(num_stages=4))
         assert run_pipeline(pipe, arrays, scalars, config=tiny_config).arrays["y"] == expected
 
     def test_dp_with_atomics(self, matrix, tiny_config):
@@ -104,7 +104,7 @@ class TestSDDMM:
         expected = ref_sddmm(matrix, c, kdim, d, matrix.ncols)
         f = compile_source(kernel.source)
         assert run_serial(f, arrays, scalars, config=tiny_config).arrays["A_val"] == expected
-        pipe = compile_c(kernel.source, num_stages=4)
+        pipe = compile_c(kernel.source, options=CompileOptions(num_stages=4))
         assert run_pipeline(pipe, arrays, scalars, config=tiny_config).arrays["A_val"] == expected
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ir
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.pipette import Machine, MachineConfig, RunSpec
 from repro.runtime import run_pipeline, run_serial
@@ -88,7 +88,7 @@ def test_interpreter_matches_python_oracle(case):
 def test_compiled_bfs_correct_on_random_graphs(n, degree, seed):
     graph = uniform_random(n, degree, seed=seed)
     arrays, scalars = bfs.make_env(graph)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     cfg = MachineConfig()
     result = run_pipeline(pipe, arrays, scalars, config=cfg)
     assert bfs.check(result.arrays, graph)
@@ -99,7 +99,7 @@ def test_compiled_bfs_correct_on_random_graphs(n, degree, seed):
 def test_compiled_cc_correct_on_random_graphs(n, degree, seed):
     graph = uniform_random(n, degree, seed=seed)
     arrays, scalars = cc.make_env(graph)
-    pipe = compile_function(cc.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(cc.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     result = run_pipeline(pipe, arrays, scalars, config=MachineConfig())
     assert cc.check(result.arrays, graph)
 

@@ -7,7 +7,7 @@ with a pure-Python reference.
 
 import pytest
 
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.runtime import run_pipeline, run_serial
 from repro.workloads import bfs, cc, prd, radii, spmm
@@ -32,7 +32,9 @@ def test_serial_matches_reference(module, graph, tiny_config):
 @pytest.mark.parametrize("module", GRAPH_MODULES, ids=lambda m: m.NAME)
 def test_compiled_pipeline_matches_reference(module, graph, tiny_config):
     arrays, scalars = module.make_env(graph)
-    pipe = compile_function(module.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(
+        module.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES)
+    )
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert module.check(result.arrays, graph)
 
@@ -70,7 +72,7 @@ def test_bfs_single_vertex(tiny_config):
 
     g = CSRGraph.from_adjacency([[]])
     arrays, scalars = bfs.make_env(g, root=0)
-    pipe = compile_function(bfs.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(bfs.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES))
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert result.arrays["distances"] == [0]
 

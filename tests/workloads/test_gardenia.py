@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compile_function
+from repro.core import CompileOptions, compile_function
 from repro.core.compiler import ALL_PASSES
 from repro.runtime import run_pipeline, run_serial
 from repro.workloads import bc, pr, spmv, sssp, tc
@@ -147,7 +147,9 @@ def test_serial_matches_oracle(module, graph, matrix, tiny_config):
 def test_compiled_pipeline_matches_oracle(module, graph, matrix, tiny_config):
     data = _data(module, graph, matrix)
     arrays, scalars = module.make_env(data)
-    pipe = compile_function(module.function(), num_stages=4, passes=ALL_PASSES)
+    pipe = compile_function(
+        module.function(), options=CompileOptions(num_stages=4, passes=ALL_PASSES)
+    )
     result = run_pipeline(pipe, arrays, scalars, config=tiny_config)
     assert module.check(result.arrays, data)
 
