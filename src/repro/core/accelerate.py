@@ -23,6 +23,7 @@ from ..ir.stmts import walk
 from ..ir.values import is_array_symbol
 from .cleanup import cleanup_stage
 from .decouple import drop_trivial_stages
+from .rewrite import remove_stmts
 
 
 def _uses_count(stage, reg):
@@ -230,7 +231,7 @@ def _chain_ras(pipeline):
                 up_spec = pipeline.queues[q_up]
                 up_spec.consumer = ("ra", ra.raid)
                 ra.in_queue = q_up
-                _remove_stmts(stage.body, stmts)
+                remove_stmts(stage.body, {id(s) for s in stmts})
                 del pipeline.queues[ra_in]
                 # Control values this stage injected into the (now deleted)
                 # RA input must originate upstream instead: the upstream
@@ -252,7 +253,7 @@ def _relocate_ctrl(pipeline, stage, ctrls, q_up):
     """
     if not ctrls:
         return
-    _remove_stmts(stage.body, [s for s, _ in ctrls])
+    remove_stmts(stage.body, {id(s) for s, _ in ctrls})
     # Walk up through any RA chain: control values enter at the first
     # stage-produced queue and are forwarded through the engines.
     up_spec = pipeline.queues[q_up]
@@ -353,15 +354,3 @@ def _passthrough_pairs(stage, pipeline):
             continue
         result.append((q_up, q_down, stmts))
     return result
-
-
-def _remove_stmts(body, victims):
-    ids = {id(v) for v in victims}
-    kept = []
-    for stmt in body:
-        if id(stmt) in ids:
-            continue
-        for block in stmt.blocks():
-            _remove_stmts(block, victims)
-        kept.append(stmt)
-    body[:] = kept

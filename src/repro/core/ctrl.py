@@ -22,7 +22,7 @@ hardware handler attached to the queue, leaving a bare dequeue in the loop.
 from ..ir import stmts as S
 from ..ir.stmts import walk
 from ..ir.values import Ctrl
-from .rewrite import find_container, substitute_uses
+from .rewrite import find_container, remove_stmts, substitute_uses
 
 
 def _single_use(body, reg, exclude):
@@ -47,27 +47,8 @@ def _stage_of_queue_producer(pipeline, qid):
     return None
 
 
-def _find_deq(stage, qid):
-    for stmt in walk(stage.body):
-        if stmt.kind == "deq" and stmt.queue == qid:
-            return stmt
-    return None
-
-
 def _find_enqs(stage, qid):
     return [s for s in walk(stage.body) if s.kind == "enq" and s.queue == qid]
-
-
-def _remove(body, victims):
-    ids = {id(v) for v in victims}
-    kept = []
-    for stmt in body:
-        if id(stmt) in ids:
-            continue
-        for block in stmt.blocks():
-            _remove(block, victims)
-        kept.append(stmt)
-    body[:] = kept
 
 
 def _innermost_loop_chain(body, target, chain=()):
@@ -151,12 +132,12 @@ def _try_convert_loop(pipeline, stage, for_stmt):
     bounds_enqs = _find_enqs(producer, lo_def.queue) + _find_enqs(producer, hi_def.queue)
     if len(bounds_enqs) != 2:
         return False
-    _remove(producer.body, bounds_enqs)
+    remove_stmts(producer.body, {id(s) for s in bounds_enqs})
     container = find_container(producer.body, gen_loop)
     container.insert(container.index(gen_loop) + 1, S.EnqCtrl(qe, Ctrl(Ctrl.NEXT)))
 
     # Consumer: drop the bounds dequeues; For -> ctrl-terminated Loop.
-    _remove(stage.body, [lo_def, hi_def])
+    remove_stmts(stage.body, {id(lo_def), id(hi_def)})
     ctl = "%c_q%d" % (qe, stage.index)
     new_body = [elem_deq, S.IsControl(ctl, elem_deq.dst), S.If(ctl, [S.Break(1)], [])]
     new_body.extend(for_stmt.body[1:])
@@ -238,7 +219,7 @@ def _try_collapse(pipeline, qe):
 
     # Producer: one DONE after the outer generating loop instead of NEXT
     # per iteration.
-    _remove(producer.body, [marker])
+    remove_stmts(producer.body, {id(marker)})
     container = find_container(producer.body, m_outer)
     container.insert(container.index(m_outer) + 1, S.EnqCtrl(qe, Ctrl(Ctrl.DONE)))
 

@@ -35,15 +35,6 @@ def substitute_uses(body, mapping):
             substitute_uses(block, mapping)
 
 
-def replace_stmt(container, old, new_list):
-    """Replace ``old`` (by identity) with ``new_list`` inside ``container``."""
-    for index, stmt in enumerate(container):
-        if stmt is old:
-            container[index : index + 1] = new_list
-            return True
-    return False
-
-
 def remove_stmts(body, victim_ids):
     """Remove statements whose id() is in ``victim_ids``, recursively."""
     body[:] = [s for s in body if id(s) not in victim_ids]

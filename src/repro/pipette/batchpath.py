@@ -1,4 +1,5 @@
-"""Batch-advance execution engine: whole-stage compilation to one generator.
+"""Batch-advance execution engine: each stage and each RA compiled to one
+generator.
 
 The reference interpreter (:mod:`repro.pipette.interp`) walks each stage's
 region tree statement by statement, re-dispatching on ``stmt.kind`` and
@@ -54,19 +55,31 @@ e.g. for a recursive control handler) falls back to the reference
 stage but stays bit-identical by construction: the fallback *is* the
 oracle.
 
-The reference interpreter remains the conformance oracle: see
-``tests/pipette/test_fastpath_conformance.py`` (engine matrix) and the
+Reference accelerators
+----------------------
+
+Each RA (:mod:`repro.pipette.refaccel`) compiles the same way, to one
+generator with its mode, ``forward_ctrl`` and ``ra_mshrs`` baked in. The
+stage and RA compilers share :class:`_Emitter`, so the memory-walk
+template, the queue fast paths and the flush protocol exist once. A
+misconfigured RA falls back to the reference RA, which raises its error.
+
+The reference interpreter and RA remain the conformance oracles: see
+``tests/pipette/test_fastpath_conformance.py`` (engine matrix),
+``test_refaccel.py``, ``test_traced_conformance.py`` and the
 engine-differential fuzzer in ``tests/test_compiler_fuzz.py``.
 """
 
 from ..errors import SimulationError
 from ..ir.ops import TERNARY_OPS, _checked_div, _checked_mod
+from ..ir.program import RA_INDIRECT, RA_SCAN
 from ..ir.values import Ctrl
 from .interp import StageInterp, _assign_pcs
+from .refaccel import RAEngine
 from .sched import BLOCKED
 from .stats import MIRROR_COUNTERS, MIRROR_STALLS
 
-__all__ = ["BatchStageInterp", "UnsupportedStage"]
+__all__ = ["BatchRAEngine", "BatchStageInterp", "UnsupportedStage"]
 
 
 class UnsupportedStage(Exception):
@@ -136,13 +149,13 @@ def _is_reg(operand):
     return type(operand) is str and not operand.startswith("@")
 
 
-def _oob_raiser(stage_name, array_op, data):
-    """Builds the exact out-of-bounds SimulationError the interpreter raises."""
+def _oob_raiser(who, array_op, data):
+    """Builds the exact out-of-bounds SimulationError the reference engine
+    raises for a load by ``who`` (``"stage <name>"`` or ``"RA <raid>"``)."""
 
     def raiser(idx):
         return SimulationError(
-            "stage %s: load %s[%d] out of bounds (len %d)"
-            % (stage_name, array_op, idx, len(data))
+            "%s: load %s[%d] out of bounds (len %d)" % (who, array_op, idx, len(data))
         )
 
     return raiser
@@ -165,7 +178,262 @@ def _dangling(stage_name, sig):
     )
 
 
-class _StageCompiler:
+class _Emitter:
+    """Source-emission base shared by the stage and RA compilers: the line
+    buffer, the captures, the sync protocol, the queue fast paths, and the
+    one transcription of the memory walk (:meth:`emit_l1_access`). Cache
+    geometry, latencies and prefetcher settings are literals; the shared
+    tag dicts and counters are captures."""
+
+    def __init__(self, mem, core, traced, captures):
+        self.lines = []
+        self.indent = 2
+        self.captures = captures
+        self.traced = traced
+        self.core = core
+        cfg = mem.config
+        self.SHIFT = mem.LINE_SHIFT
+        l1 = mem.l1[core]
+        self.SCOUNT = l1.sets_count
+        self.L1WAYS = l1.ways
+        self.L1LAT = cfg.l1.latency
+        self.PF_ON = cfg.prefetch_enabled
+        self.PF_DEG = cfg.prefetch_degree
+        self.MAXSTRIDE = mem.prefetchers[core].MAX_STRIDE
+        l2 = mem.l2[core]
+        self.L2SCOUNT = l2.sets_count
+        self.L2WAYS = l2.ways
+        self.L2LAT = cfg.l2.latency
+        captures["l1_sets"] = l1.sets
+        captures["l1_stats"] = l1.stats
+        captures["l2_sets"] = l2.sets
+        captures["l2_stats"] = l2.stats
+        captures["below_l2"] = mem.miss_below_l2
+        captures["pf_streams"] = mem.prefetchers[core].streams
+        captures["pf_one"] = mem._prefetch
+
+    def w(self, text):
+        self.lines.append("    " * self.indent + text)
+        if len(self.lines) > _MAX_LINES:
+            raise UnsupportedStage("generated stage body too large")
+
+    def push(self):
+        self.indent += 1
+
+    def pop(self):
+        self.indent -= 1
+
+    def cap(self, name, obj):
+        existing = self.captures.get(name)
+        if existing is not None and existing is not obj:
+            raise UnsupportedStage("capture name collision %r" % name)
+        self.captures[name] = obj
+        return name
+
+    def emit_sync(self):
+        """Flush every mirrored local (:meth:`sync_lines`) back to the
+        objects it mirrors.
+
+        Emitted before every ``yield``, so external observers between
+        resumes — scheduler heap keys, tracer spans, deadlock reports — see
+        reference-identical state. Emits a placeholder that
+        :meth:`assemble` expands: the flush covers queue counters, and the
+        full queue set is only known once the whole body has been emitted.
+        """
+        self.w("#SYNC#")
+
+    def assemble(self, prologue, tail=()):
+        """The generator-function source: bind the captures, run
+        ``prologue``, then the body with every sync marker expanded, then
+        ``tail``."""
+        sync = self.sync_lines()
+        out = ["def __batch(C):"]
+        out += ["    %s = C[%r]" % (name, name) for name in sorted(self.captures)]
+        out += ["    " + line for line in prologue]
+        for line in self.lines:
+            text = line.lstrip()
+            if text == "#SYNC#":
+                pad = line[: len(line) - len(text)]
+                out.extend(pad + s for s in sync)
+            else:
+                out.append(line)
+        out += ["    " + line for line in tail]
+        return "\n".join(out) + "\n"
+
+    # -- the memory walk (transcribed from mem.py) --------------------------
+
+    @staticmethod
+    def mem_prologue_lines():
+        return [
+            "l1h = l1m = l2h = l2m = 0",
+            "l1get = l1_sets.get",
+            "l2get = l2_sets.get",
+            "pfget = pf_streams.get",
+        ]
+
+    @staticmethod
+    def mem_flush_lines():
+        """Cache hit/miss deltas: the counters are shared with every thread
+        and RA on the core, so they accumulate locally and flush additively
+        (ints: exact in any interleaving)."""
+        return [
+            "l1_stats.hits += l1h",
+            "l1_stats.misses += l1m",
+            "l2_stats.hits += l2h",
+            "l2_stats.misses += l2m",
+            "l1h = l1m = l2h = l2m = 0",
+        ]
+
+    def emit_l1_access(self, start="start", stream="sname", store=False):
+        """Inline L1 lookup (+ stride observe unless a store); leaves
+        ``latency``. ``stream`` names a local holding the stream id; the
+        address line must already be in ``line``. Transcribed from
+        MemorySystem.access (Cache.access for L1 and L2)."""
+        self.w("sindex = line %% %d" % self.SCOUNT)
+        self.w("tag = line // %d" % self.SCOUNT)
+        self.w("entry = l1get(sindex)")
+        self.w("if entry is not None and entry[0] == tag:")
+        self.w("    l1h += 1")
+        self.w("    latency = %d" % self.L1LAT)
+        self.w("elif entry is not None and tag in entry:")
+        self.w("    pos = entry.index(tag, 1)")
+        self.w("    del entry[pos]")
+        self.w("    entry.insert(0, tag)")
+        self.w("    l1h += 1")
+        self.w("    latency = %d" % self.L1LAT)
+        self.w("else:")
+        self.w("    if entry is None:")
+        self.w("        l1_sets[sindex] = [tag]")
+        self.w("    else:")
+        self.w("        entry.insert(0, tag)")
+        self.w("        if len(entry) > %d:" % self.L1WAYS)
+        self.w("            entry.pop()")
+        self.w("    l1m += 1")
+        # L2 lookup inlined too (Cache.access, same discipline as the L1
+        # block); only the below-L2 walk stays a call.
+        self.w("    e2 = l2get(line %% %d)" % self.L2SCOUNT)
+        self.w("    t2 = line // %d" % self.L2SCOUNT)
+        self.w("    if e2 is not None and e2[0] == t2:")
+        self.w("        l2h += 1")
+        self.w("        latency = %d" % self.L2LAT)
+        self.w("    elif e2 is not None and t2 in e2:")
+        self.w("        pos = e2.index(t2, 1)")
+        self.w("        del e2[pos]")
+        self.w("        e2.insert(0, t2)")
+        self.w("        l2h += 1")
+        self.w("        latency = %d" % self.L2LAT)
+        self.w("    else:")
+        self.w("        if e2 is None:")
+        self.w("            l2_sets[line %% %d] = [t2]" % self.L2SCOUNT)
+        self.w("        else:")
+        self.w("            e2.insert(0, t2)")
+        self.w("            if len(e2) > %d:" % self.L2WAYS)
+        self.w("                e2.pop()")
+        self.w("        l2m += 1")
+        self.w("        latency = below_l2(%d, line, %s)" % (self.core, start))
+        if self.PF_ON and not store:
+            self.w("sentry = pfget(%s)" % stream)
+            self.w("if sentry is None:")
+            self.w("    pf_streams[%s] = (line, 0, 0)" % stream)
+            self.w("else:")
+            self.w("    last_line, pstride, prun = sentry")
+            self.w("    delta = line - last_line")
+            self.w("    if delta != 0:")
+            self.w(
+                "        if delta == pstride and"
+                " 0 < (pstride if pstride > 0 else -pstride) <= %d:" % self.MAXSTRIDE
+            )
+            self.w("            prun = prun + 1 if prun < 8 else 8")
+            self.w("            pf_streams[%s] = (line, pstride, prun)" % stream)
+            self.w("            if prun >= 2:")
+            self.w("                later = %s + latency" % start)
+            self.w("                for k in range(1, %d):" % (self.PF_DEG + 1))
+            self.w("                    pf_one(%d, line + pstride * k, later)" % self.core)
+            self.w("        else:")
+            self.w("            pf_streams[%s] = (line, delta, 1)" % stream)
+
+    # -- queue helpers (transcribed from queues.py) --------------------------
+
+    def queue_prologue_lines(self, bases, enq_bases, deq_bases):
+        """Bind each queue's hot attributes and its counter mirrors."""
+        out = []
+        for base in bases:
+            out.append("%s_entries = %s.entries" % (base, base))
+            out.append("%s_free = %s.slot_free" % (base, base))
+            out.append("%s_lat = %s.latency" % (base, base))
+            if self.traced:
+                out.append("%s_tr = %s.tracer" % (base, base))
+                out.append("%s_lbl = %s.label" % (base, base))
+        for base in enq_bases:
+            out.append("%s_enqs = 0" % base)
+            out.append("%s_mo = %s.max_occupancy" % (base, base))
+        for base in deq_bases:
+            out.append("%s_deqs = 0" % base)
+        return out
+
+    @staticmethod
+    def queue_flush_lines(enq_bases, deq_bases):
+        """Queue counter deltas flush with ``+=`` / max-merge: the blocked
+        retry paths call the real queue methods, which update the shared
+        attributes directly."""
+        out = []
+        for base in enq_bases:
+            out.append("%s.total_enqs += %s_enqs" % (base, base))
+            out.append("%s_enqs = 0" % base)
+            out.append("if %s_mo > %s.max_occupancy:" % (base, base))
+            out.append("    %s.max_occupancy = %s_mo" % (base, base))
+        for base in deq_bases:
+            out.append("%s.total_deqs += %s_deqs" % (base, base))
+            out.append("%s_deqs = 0" % base)
+        return out
+
+    def emit_deq_hit(self, base, dst, t, now):
+        """HWQueue.try_deq on a non-empty queue: leaves ``dst`` and ``t``."""
+        self.w("%s, avail = %s_entries.popleft()" % (dst, base))
+        self.w("%s = avail if avail > %s else %s" % (t, now, now))
+        self.w("%s_free.append(%s)" % (base, t))
+        self.w("%s_deqs += 1" % base)
+        self.emit_queue_counter(base, t)
+        self.emit_wake(base, "waiting_producers")
+
+    def emit_enq_hit(self, base, t, at, value, lat):
+        """HWQueue.try_enq with a free slot: leaves the enqueue cycle in ``t``."""
+        self.w("freed = %s_free.popleft()" % base)
+        self.w("%s = freed if freed > %s else %s" % (t, at, at))
+        self.w("%s_entries.append((%s, %s + %s))" % (base, value, t, lat))
+        self.w("%s_enqs += 1" % base)
+        self.w("occ = len(%s_entries)" % base)
+        self.w("if occ > %s_mo:" % base)
+        self.w("    %s_mo = occ" % base)
+        self.emit_queue_counter(base, t)
+        self.emit_wake(base, "waiting_consumers")
+
+    def emit_wait(self, block, waiters, var, retry):
+        """The blocked path: flush mirrors, then park on ``waiters`` and
+        rerun ``retry`` into ``var`` on each wake until it is not None."""
+        self.emit_sync()
+        self.w("while True:")
+        self.w("    task.block(%s)" % block)
+        self.w("    %s.append(task)" % waiters)
+        self.w("    yield BLOCKED")
+        self.w("    %s = %s" % (var, retry))
+        self.w("    if %s is not None:" % var)
+        self.w("        break")
+
+    def emit_queue_counter(self, base, t_expr):
+        if self.traced:
+            self.w("if %s_tr is not None:" % base)
+            self.w("    %s_tr.counter(%s_lbl, %s, len(%s_entries))" % (base, base, t_expr, base))
+
+    def emit_wake(self, base, side):
+        self.w("if %s.%s:" % (base, side))
+        self.w("    _ws = %s.%s" % (base, side))
+        self.w("    %s.%s = []" % (base, side))
+        self.w("    for _wt in _ws:")
+        self.w("        _wt.wake()")
+
+
+class _StageCompiler(_Emitter):
     """Emits the generator-function source for one stage on one thread.
 
     Loop contexts track what the innermost *generated Python loop* is, so a
@@ -187,12 +455,9 @@ class _StageCompiler:
         self.ctx = ctx
         self.env = runenv
         self.pcs = _assign_pcs(stage)
-        self.traced = ctx.tracer is not None
-        self.lines = []
-        self.indent = 2
         self._fresh = 0
         self.regmap = {}
-        self.captures = {
+        captures = {
             "ctx": ctx,
             "task": ctx.task,
             "env": runenv,
@@ -216,6 +481,7 @@ class _StageCompiler:
             "type": type,
             "range": range,
         }
+        super().__init__(ctx.mem, ctx.core, ctx.tracer is not None, captures)
         if self.traced:
             self.captures["tracer"] = ctx.tracer
             self.captures["TN"] = ctx.stats.name
@@ -232,57 +498,19 @@ class _StageCompiler:
         self.MSHRS = cfg.mshrs
         self.PEN = cfg.mispredict_penalty
         self.cfg = cfg
-        mem = ctx.mem
-        self.SHIFT = mem.LINE_SHIFT
-        l1 = mem.l1[ctx.core]
-        self.SCOUNT = l1.sets_count
-        self.L1WAYS = l1.ways
-        self.L1LAT = cfg.l1.latency
-        self.PF_ON = cfg.prefetch_enabled
-        self.PF_DEG = cfg.prefetch_degree
-        self.MAXSTRIDE = mem.prefetchers[ctx.core].MAX_STRIDE
-        l2 = mem.l2[ctx.core]
-        self.L2SCOUNT = l2.sets_count
-        self.L2WAYS = l2.ways
-        self.L2LAT = cfg.l2.latency
-        self.captures["l1_sets"] = l1.sets
-        self.captures["l1_stats"] = l1.stats
-        self.captures["l2_sets"] = l2.sets
-        self.captures["l2_stats"] = l2.stats
-        self.captures["below_l2"] = mem.miss_below_l2
-        self.captures["pf_streams"] = mem.prefetchers[ctx.core].streams
-        self.captures["pf_one"] = mem._prefetch
         # Bound methods captured by name are bound once: each attribute
         # access makes a new bound-method object, which cap() would reject
         # as a collision on the stage's second statement that uses it.
-        self._mem_access = mem.access
+        self._mem_access = ctx.mem.access
         self._acquire = ctx.ledger.acquire
         self._remote_queue = runenv.remote_queue
         self._all_replica_queues = runenv.all_replica_queues
 
     # -- emission helpers ---------------------------------------------------
 
-    def w(self, text):
-        self.lines.append("    " * self.indent + text)
-        if len(self.lines) > _MAX_LINES:
-            raise UnsupportedStage("generated stage body too large")
-
-    def push(self):
-        self.indent += 1
-
-    def pop(self):
-        self.indent -= 1
-
     def fresh(self, base):
         self._fresh += 1
         return "%s%d" % (base, self._fresh)
-
-    def cap(self, name, obj):
-        existing = self.captures.get(name)
-        if existing is not None and existing is not obj:
-            raise UnsupportedStage("capture name collision %r" % name)
-        self.captures[name] = obj
-        return name
 
     # -- operand expressions ------------------------------------------------
 
@@ -447,19 +675,6 @@ class _StageCompiler:
         self.w("    ph = (ph << 1) & hmask")
         self.w("    correct = pctr < 2")
 
-    def emit_sync(self):
-        """Flush every mirrored local back to the context/stats objects.
-
-        Emitted before every ``yield`` (and at completion), so external
-        observers between resumes — scheduler heap keys, tracer spans,
-        deadlock reports — see reference-identical state.
-
-        Emits a placeholder: queue-counter deltas are part of the flush but
-        the full queue set is only known once the whole body has been
-        emitted, so :meth:`compile` expands the marker afterwards.
-        """
-        self.w("#SYNC#")
-
     def sync_lines(self):
         """The real flush block (see emit_sync). Thread-private mirrors
         write back absolute values; counters shared with other threads
@@ -477,15 +692,7 @@ class _StageCompiler:
             "    slots[lc] = ln",
             "    lc = -1",
             "    ln = 0",
-            # Cache hit/miss deltas: the counters are shared with RAs and
-            # co-scheduled threads, so they accumulate locally and flush
-            # additively (ints: exact in any interleaving).
-            "l1_stats.hits += l1h",
-            "l1_stats.misses += l1m",
-            "l2_stats.hits += l2h",
-            "l2_stats.misses += l2m",
-            "l1h = l1m = l2h = l2m = 0",
-        ]
+        ] + self.mem_flush_lines()
         for field in MIRROR_COUNTERS + MIRROR_STALLS:
             out.append("tstats.%s = %s" % (field, _STAT_LOCALS[field]))
         if self._enq_qids or self._deq_qids:
@@ -493,85 +700,8 @@ class _StageCompiler:
             out.append("sqe = 0")
             out.append("sstats.queue_deqs += sqd")
             out.append("sqd = 0")
-        for qid in sorted(self._enq_qids):
-            base = "q%d" % qid
-            out.append("%s.total_enqs += %s_enqs" % (base, base))
-            out.append("%s_enqs = 0" % base)
-            out.append("if %s_mo > %s.max_occupancy:" % (base, base))
-            out.append("    %s.max_occupancy = %s_mo" % (base, base))
-        for qid in sorted(self._deq_qids):
-            base = "q%d" % qid
-            out.append("%s.total_deqs += %s_deqs" % (base, base))
-            out.append("%s_deqs = 0" % base)
-        return out
-
-    def emit_l1_access(self, start="start", stream="sname", store=False):
-        """Inline L1 lookup (+ stride observe unless a store); leaves
-        ``latency``. ``stream`` names a local holding the stream id; the
-        address line must already be in ``line``. Transcribed from
-        MemorySystem.access."""
-        self.w("sindex = line %% %d" % self.SCOUNT)
-        self.w("tag = line // %d" % self.SCOUNT)
-        self.w("entry = l1get(sindex)")
-        self.w("if entry is not None and entry[0] == tag:")
-        self.w("    l1h += 1")
-        self.w("    latency = %d" % self.L1LAT)
-        self.w("elif entry is not None and tag in entry:")
-        self.w("    pos = entry.index(tag, 1)")
-        self.w("    del entry[pos]")
-        self.w("    entry.insert(0, tag)")
-        self.w("    l1h += 1")
-        self.w("    latency = %d" % self.L1LAT)
-        self.w("else:")
-        self.w("    if entry is None:")
-        self.w("        l1_sets[sindex] = [tag]")
-        self.w("    else:")
-        self.w("        entry.insert(0, tag)")
-        self.w("        if len(entry) > %d:" % self.L1WAYS)
-        self.w("            entry.pop()")
-        self.w("    l1m += 1")
-        # L2 lookup inlined too (Cache.access, same discipline as the L1
-        # block); only the below-L2 walk stays a call.
-        self.w("    e2 = l2get(line %% %d)" % self.L2SCOUNT)
-        self.w("    t2 = line // %d" % self.L2SCOUNT)
-        self.w("    if e2 is not None and e2[0] == t2:")
-        self.w("        l2h += 1")
-        self.w("        latency = %d" % self.L2LAT)
-        self.w("    elif e2 is not None and t2 in e2:")
-        self.w("        pos = e2.index(t2, 1)")
-        self.w("        del e2[pos]")
-        self.w("        e2.insert(0, t2)")
-        self.w("        l2h += 1")
-        self.w("        latency = %d" % self.L2LAT)
-        self.w("    else:")
-        self.w("        if e2 is None:")
-        self.w("            l2_sets[line %% %d] = [t2]" % self.L2SCOUNT)
-        self.w("        else:")
-        self.w("            e2.insert(0, t2)")
-        self.w("            if len(e2) > %d:" % self.L2WAYS)
-        self.w("                e2.pop()")
-        self.w("        l2m += 1")
-        self.w("        latency = below_l2(%d, line, %s)" % (self.ctx.core, start))
-        if self.PF_ON and not store:
-            self.w("sentry = pfget(%s)" % stream)
-            self.w("if sentry is None:")
-            self.w("    pf_streams[%s] = (line, 0, 0)" % stream)
-            self.w("else:")
-            self.w("    last_line, pstride, prun = sentry")
-            self.w("    delta = line - last_line")
-            self.w("    if delta != 0:")
-            self.w(
-                "        if delta == pstride and"
-                " 0 < (pstride if pstride > 0 else -pstride) <= %d:" % self.MAXSTRIDE
-            )
-            self.w("            prun = prun + 1 if prun < 8 else 8")
-            self.w("            pf_streams[%s] = (line, pstride, prun)" % stream)
-            self.w("            if prun >= 2:")
-            self.w("                later = %s + latency" % start)
-            self.w("                for k in range(1, %d):" % (self.PF_DEG + 1))
-            self.w("                    pf_one(%d, line + pstride * k, later)" % self.ctx.core)
-            self.w("        else:")
-            self.w("            pf_streams[%s] = (line, delta, 1)" % stream)
+        _, enq_bases, deq_bases = self._queue_bases()
+        return out + self.queue_flush_lines(enq_bases, deq_bases)
 
     # -- signal propagation -------------------------------------------------
 
@@ -603,42 +733,15 @@ class _StageCompiler:
         base = "q%d" % qid
         queue = self.env.queues[qid]
         self.cap(base, queue)
-        if qid not in self._queue_locals:
-            self._queue_locals.add(qid)
+        self._queue_locals.add(qid)
         return base
 
-    def queue_prologue_lines(self):
-        out = []
-        for qid in sorted(self._queue_locals):
-            base = "q%d" % qid
-            out.append("%s_entries = %s.entries" % (base, base))
-            out.append("%s_free = %s.slot_free" % (base, base))
-            out.append("%s_lat = %s.latency" % (base, base))
-            if self.traced:
-                out.append("%s_tr = %s.tracer" % (base, base))
-                out.append("%s_lbl = %s.label" % (base, base))
-        if self._enq_qids or self._deq_qids:
-            out.append("sqe = 0")
-            out.append("sqd = 0")
-        for qid in sorted(self._enq_qids):
-            base = "q%d" % qid
-            out.append("%s_enqs = 0" % base)
-            out.append("%s_mo = %s.max_occupancy" % (base, base))
-        for qid in sorted(self._deq_qids):
-            out.append("q%d_deqs = 0" % qid)
-        return out
-
-    def emit_queue_counter(self, base, t_expr):
-        if self.traced:
-            self.w("if %s_tr is not None:" % base)
-            self.w("    %s_tr.counter(%s_lbl, %s, len(%s_entries))" % (base, base, t_expr, base))
-
-    def emit_wake(self, base, side):
-        self.w("if %s.%s:" % (base, side))
-        self.w("    _ws = %s.%s" % (base, side))
-        self.w("    %s.%s = []" % (base, side))
-        self.w("    for _wt in _ws:")
-        self.w("        _wt.wake()")
+    def _queue_bases(self):
+        """(all, enqueued inline, dequeued inline) queue local-name bases."""
+        return tuple(
+            ["q%d" % qid for qid in sorted(qids)]
+            for qids in (self._queue_locals, self._enq_qids, self._deq_qids)
+        )
 
     # -- statement emitters -------------------------------------------------
     # Each returns True when a control signal may be pending afterwards.
@@ -712,7 +815,7 @@ class _StageCompiler:
         raiser = self._oob_raisers.get(tag)
         if raiser is None:
             raiser = self._oob_raisers[tag] = _oob_raiser(
-                self.stage.name, operand, binding.data
+                "stage " + self.stage.name, operand, binding.data
             )
         oob = self.cap("oob_" + tag, raiser)
         return d, b, z, s, oob
@@ -956,15 +1059,7 @@ class _StageCompiler:
         self._enq_qids.add(int(base[1:]))
         self.w("if %s_free:" % base)
         self.push()
-        self.w("freed = %s_free.popleft()" % base)
-        self.w("qt = freed if freed > %s else %s" % (start_expr, start_expr))
-        self.w("%s_entries.append((%s, qt + %s))" % (base, value_expr, lat))
-        self.w("%s_enqs += 1" % base)
-        self.w("occ = len(%s_entries)" % base)
-        self.w("if occ > %s_mo:" % base)
-        self.w("    %s_mo = occ" % base)
-        self.emit_queue_counter(base, "qt")
-        self.emit_wake(base, "waiting_consumers")
+        self.emit_enq_hit(base, "qt", start_expr, value_expr, lat)
         # The slot existed only in the future: effectively full now.
         self.w("if qt > start:")
         self.w("    qs += qt - cur")
@@ -975,23 +1070,12 @@ class _StageCompiler:
         self.w("else:")
         self.push()
         self.w("%s.full_blocks += 1" % base)
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('enq', %d))" % self.env.queues[int(base[1:])].qid)
-        self.w("    %s.waiting_producers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w(
-            "    qt = %s.try_enq(start if start > cur else cur, %s%s)"
-            % (base, value_expr, (", " + extra) if extra else "")
+        self._emit_producer_wait(
+            "('enq', %d)" % self.env.queues[int(base[1:])].qid,
+            base,
+            "%s.try_enq(start if start > cur else cur, %s%s)"
+            % (base, value_expr, (", " + extra) if extra else ""),
         )
-        self.w("    if qt is not None:")
-        self.w("        break")
-        self.w("if qt > cur:")
-        self.w("    qs += qt - wait_from")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
         self.pop()
 
     def _emit_enq_common(self, qid, value_expr, dep_expr):
@@ -1014,31 +1098,16 @@ class _StageCompiler:
         self.w("sstats.ctrl_values += 1")
         return False
 
-    def _emit_deq_once(self, base, qid):
-        """One dequeue attempt incl. the blocked path; leaves ``dv``/``qt``."""
-        self._deq_qids.add(qid)
-        self.emit_acquire(1)
-        self.w("if %s_entries:" % base)
-        self.push()
-        self.w("dv, avail = %s_entries.popleft()" % base)
-        self.w("qt = avail if avail > t else t")
-        self.w("%s_free.append(qt)" % base)
-        self.w("%s_deqs += 1" % base)
-        self.emit_queue_counter(base, "qt")
-        self.emit_wake(base, "waiting_producers")
-        self.pop()
-        self.w("else:")
-        self.push()
-        self.w("%s.empty_blocks += 1" % base)
+    def _emit_consumer_wait(self, kind, base, qid):
+        """Blocked deq/peek on queue ``qid``: wait for an entry, leave
+        ``dv``/``qt`` and charge the wait to the queue-stall bucket."""
         self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('deq', %d))" % qid)
-        self.w("    %s.waiting_consumers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w("    res = %s.try_deq(cur)" % base)
-        self.w("    if res is not None:")
-        self.w("        break")
+        self.emit_wait(
+            "('%s', %d)" % (kind, qid),
+            base + ".waiting_consumers",
+            "res",
+            "%s.try_%s(cur)" % (base, kind),
+        )
         self.w("dv, qt = res")
         self.w("if qt > cur:")
         self.w("    d = qt - wait_from")
@@ -1047,6 +1116,30 @@ class _StageCompiler:
             self.w("    if qt > wait_from:")
             self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
         self.w("    cur = qt")
+
+    def _emit_producer_wait(self, block, queue, retry):
+        """Blocked enqueue: wait for a slot (``qt``), charging the wait to
+        the queue-stall bucket."""
+        self.w("wait_from = cur")
+        self.emit_wait(block, queue + ".waiting_producers", "qt", retry)
+        self.w("if qt > cur:")
+        self.w("    qs += qt - wait_from")
+        if self.traced:
+            self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
+        self.w("    cur = qt")
+
+    def _emit_deq_once(self, base, qid):
+        """One dequeue attempt incl. the blocked path; leaves ``dv``/``qt``."""
+        self._deq_qids.add(qid)
+        self.emit_acquire(1)
+        self.w("if %s_entries:" % base)
+        self.push()
+        self.emit_deq_hit(base, "dv", "qt", "t")
+        self.pop()
+        self.w("else:")
+        self.push()
+        self.w("%s.empty_blocks += 1" % base)
+        self._emit_consumer_wait("deq", base, qid)
         self.pop()
         self.w("qo += 1")
         self.w("sqd += 1")
@@ -1095,23 +1188,7 @@ class _StageCompiler:
         self.w("    qt = avail if avail > t else t")
         self.w("else:")
         self.push()
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('peek', %d))" % qid)
-        self.w("    %s.waiting_consumers.append(task)" % base)
-        self.w("    yield BLOCKED")
-        self.w("    res = %s.try_peek(cur)" % base)
-        self.w("    if res is not None:")
-        self.w("        break")
-        self.w("dv, qt = res")
-        self.w("if qt > cur:")
-        self.w("    d = qt - wait_from")
-        self.w("    qs += d if d > 0.0 else 0.0")
-        if self.traced:
-            self.w("    if qt > wait_from:")
-            self.w("        tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
+        self._emit_consumer_wait("peek", base, qid)
         self.pop()
         self.w("%s = dv" % rd)
         self.w("%s = qt" % ry)
@@ -1218,14 +1295,14 @@ class _StageCompiler:
         self.emit_start(self.dep2(stmt.index, stmt.value))
         if static is None:
             self.w("addr = bind.base + idx * bind.elem_size")
-            self.w("latency = mem_access(%d, addr, start, stream_id=bind.name)" % self.ctx.core)
+            self.w("latency = mem_access(%d, addr, start, stream_id=bind.name)" % self.core)
             self.w("comp = start + latency + env.atomic_overhead")
             self.w("old = bind.data[idx]")
             self.w("bind.data[idx] = %s" % _BINARY_EXPR[stmt.op].format(a="old", b="v"))
         else:
             d, b, z, s, _ = static
             self.w("addr = %s + idx * %s" % (b, z))
-            self.w("latency = mem_access(%d, addr, start, stream_id=%s)" % (self.ctx.core, s))
+            self.w("latency = mem_access(%d, addr, start, stream_id=%s)" % (self.core, s))
             self.w("comp = start + latency + env.atomic_overhead")
             self.w("old = %s[idx]" % d)
             self.w("%s[idx] = %s" % (d, _BINARY_EXPR[stmt.op].format(a="old", b="v")))
@@ -1247,23 +1324,11 @@ class _StageCompiler:
         self.w("qt = %s.try_enq(start, ev, %s)" % (queue_var, extra_var))
         self.w("if qt is None:")
         self.push()
-        self.w("wait_from = cur")
-        self.emit_sync()
-        self.w("while True:")
-        self.w("    task.block(('enq', %s.qid))" % queue_var)
-        self.w("    %s.waiting_producers.append(task)" % queue_var)
-        self.w("    yield BLOCKED")
-        self.w(
-            "    qt = %s.try_enq(start if start > cur else cur, ev, %s)"
-            % (queue_var, extra_var)
+        self._emit_producer_wait(
+            "('enq', %s.qid)" % queue_var,
+            queue_var,
+            "%s.try_enq(start if start > cur else cur, ev, %s)" % (queue_var, extra_var),
         )
-        self.w("    if qt is not None:")
-        self.w("        break")
-        self.w("if qt > cur:")
-        self.w("    qs += qt - wait_from")
-        if self.traced:
-            self.w("    tracer.stall(TN, 'queue', wait_from, qt)")
-        self.w("    cur = qt")
         self.pop()
         self.w("elif qt > start:")
         self.w("    qs += qt - cur")
@@ -1301,88 +1366,73 @@ class _StageCompiler:
         self._loop_stack.append(("syn", None))
         self.emit_body(self.stage.body)
         self._loop_stack.pop()
-        # Expand sync markers now that the full queue set is known.
-        sync = self.sync_lines()
-        body_lines = []
-        for line in self.lines:
-            text = line.lstrip()
-            if text == "#SYNC#":
-                pad = line[: len(line) - len(text)]
-                body_lines.extend(pad + s for s in sync)
-            else:
-                body_lines.append(line)
         self.cap("self_interp", None)  # patched with the interp object per run
-
-        head = ["def __batch_stage(C):"]
-
-        def p(text):
-            head.append("    " + text)
-
-        for name in sorted(self.captures):
-            p("%s = C[%r]" % (name, name))
-        p("regs = ctx.regs")
-        p("ready = ctx.ready")
-        p("ptable = pred.table")
-        p("pmask = pred.mask")
-        p("hmask = pred.history_mask")
-        # Hot structures bound once: the ledger's slot dict is only rebound
-        # by IssueLedger.prune, which no machine-run path calls. The ROB and
-        # MSHR live as prefilled rings (see emit_retire); ThreadCtx always
-        # hands the engine freshly-empty deques, so the rings start at zero.
-        p("slots = ledger.slots")
-        p("sget = slots.get")
-        p("lc = -1")
-        p("ln = 0")
-        p("l1h = l1m = l2h = l2m = 0")
-        p("l1get = l1_sets.get")
-        p("l2get = l2_sets.get")
-        p("pfget = pf_streams.get")
-        p("ring = [0.0] * %d" % self.ROB)
-        p("ri = 0")
-        p("mring = [0.0] * %d" % self.MSHRS)
-        p("mi = 0")
-        for line in self.queue_prologue_lines():
-            p(line)
-        p("cur = ctx.cursor")
-        p("rlast = ctx.rob_last")
-        p("ph = pred.history")
+        head = [
+            "regs = ctx.regs",
+            "ready = ctx.ready",
+            "ptable = pred.table",
+            "pmask = pred.mask",
+            "hmask = pred.history_mask",
+            # Hot structures bound once: the ledger's slot dict is only
+            # rebound by IssueLedger.prune, which no machine-run path calls.
+            # The ROB and MSHR live as prefilled rings (see emit_retire);
+            # ThreadCtx always hands the engine freshly-empty deques, so the
+            # rings start at zero.
+            "slots = ledger.slots",
+            "sget = slots.get",
+            "lc = -1",
+            "ln = 0",
+        ]
+        head += self.mem_prologue_lines()
+        head += ["ring = [0.0] * %d" % self.ROB, "ri = 0"]
+        head += ["mring = [0.0] * %d" % self.MSHRS, "mi = 0"]
+        if self._enq_qids or self._deq_qids:
+            head += ["sqe = 0", "sqd = 0"]
+        head += self.queue_prologue_lines(*self._queue_bases())
+        head += ["cur = ctx.cursor", "rlast = ctx.rob_last", "ph = pred.history"]
         for field in MIRROR_COUNTERS + MIRROR_STALLS:
-            p("%s = tstats.%s" % (_STAT_LOCALS[field], field))
-        p("_sig = 0")
-        p("tstats.start_cycle = cur")
+            head.append("%s = tstats.%s" % (_STAT_LOCALS[field], field))
+        head += ["_sig = 0", "tstats.start_cycle = cur"]
         # Registers live as frame locals; scalar parameters were bound into
         # ctx.regs before engine construction, everything else starts unset.
         for name in sorted(self.regmap):
             rd, ry = self.regmap[name]
-            p("%s = regs.get(%r)" % (rd, name))
-            p("%s = ready.get(%r, 0.0)" % (ry, name))
-        p("if False:")
-        p("    yield BLOCKED  # makes this a generator even for never-blocking stages")
-        # The top-level body runs inside a transparent one-shot loop so a
-        # (dangling) signal can skip the remaining statements, exactly like
-        # exec_body returning early.
-        p("while True:")
-
-        tail = []
-
-        def q(text):
-            tail.append("    " + text)
-
-        q("    break")
-        q("if _sig:")
-        q("    raise _dangle(SN, _sig)")
+            head.append("%s = regs.get(%r)" % (rd, name))
+            head.append("%s = ready.get(%r, 0.0)" % (ry, name))
+        head += [
+            "if False:",
+            "    yield BLOCKED  # makes this a generator even for never-blocking stages",
+            # The top-level body runs inside a transparent one-shot loop so
+            # a (dangling) signal can skip the remaining statements, exactly
+            # like exec_body returning early.
+            "while True:",
+        ]
         # Normal completion: flush mirrors, write registers back, finish.
-        for line in sync:
-            q(line)
+        tail = ["    break", "if _sig:", "    raise _dangle(SN, _sig)"] + self.sync_lines()
         for name in sorted(self.regmap):
             rd, ry = self.regmap[name]
-            q("regs[%r] = %s" % (name, rd))
-            q("ready[%r] = %s" % (name, ry))
-        q("tstats.end_cycle = cur")
-        q("env.on_thread_done(self_interp)")
+            tail.append("regs[%r] = %s" % (name, rd))
+            tail.append("ready[%r] = %s" % (name, ry))
+        tail += ["tstats.end_cycle = cur", "env.on_thread_done(self_interp)"]
+        return self.assemble(head, tail), self.captures
 
-        source = "\n".join(head + body_lines + tail) + "\n"
-        return source, self.captures
+
+def _instantiate(source, filename):
+    """The generator function ``__batch`` defined by ``source``; the code
+    object is compiled once per distinct source text."""
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+            _CODE_CACHE.clear()
+        code = compile(source, filename, "exec")
+        _CODE_CACHE[source] = code
+    namespace = {
+        "BLOCKED": BLOCKED,
+        "Ctrl": Ctrl,
+        "SimulationError": SimulationError,
+    }
+    exec(code, namespace)
+    return namespace["__batch"]
 
 
 def _barrier_of(env):
@@ -1400,19 +1450,7 @@ class _CompiledStage:
         captures = dict(captures)
         captures["self_interp"] = self
         self._captures = captures
-        code = _CODE_CACHE.get(source)
-        if code is None:
-            if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-                _CODE_CACHE.clear()
-            code = compile(source, "<batchpath:%s>" % stage.name, "exec")
-            _CODE_CACHE[source] = code
-        namespace = {
-            "BLOCKED": BLOCKED,
-            "Ctrl": Ctrl,
-            "SimulationError": SimulationError,
-        }
-        exec(code, namespace)
-        self._fn = namespace["__batch_stage"]
+        self._fn = _instantiate(source, "<batchpath:%s>" % stage.name)
         self.source = source  # kept for introspection/debugging
 
     def run(self):
@@ -1429,3 +1467,157 @@ def BatchStageInterp(stage, ctx, runenv):
         return _CompiledStage(stage, ctx, runenv, source, captures)
     except UnsupportedStage:
         return StageInterp(stage, ctx, runenv)
+
+
+class _RACompiler(_Emitter):
+    """Emits the generator-function source for one RA, transcribing
+    :class:`~repro.pipette.refaccel.RAEngine`.
+
+    The mode, ``forward_ctrl``, ``ra_mshrs``, the element size and the
+    memory template's constants are literals; the engine, queues, array and
+    base address are captures, so RAs of one shape share one code object.
+    The front clock, the delivery watermark and the shared counters live in
+    frame locals, flushed before every ``yield``. In-flight loads live in a
+    ring prefilled with 0.0, like the stages' MSHR ring: clocks are never
+    negative, so reading a sentinel is the oracle's not-yet-full case.
+    """
+
+    def __init__(self, engine, binding):
+        env = engine.env
+        spec = engine.spec
+        super().__init__(env.machine.mem, env.core, engine.tracer is not None, {
+            "eng": engine,
+            "task": engine.task,
+            "sstats": env.stats,
+            "qi": env.queues[spec.in_queue],
+            "qo": env.queues[spec.out_queue],
+            "deq_block": ("ra-deq", spec.in_queue),
+            "enq_block": ("ra-enq", spec.out_queue),
+            "data": binding.data,
+            "base": binding.base,
+            "sname": binding.name,
+            "oob": _oob_raiser("RA %d" % spec.raid, spec.array, binding.data),
+            "RID": spec.raid,
+            "len": len,
+            "range": range,
+            "type": type,
+        })
+        if self.traced:
+            self.captures["tracer"] = engine.tracer
+            self.captures["TN"] = engine.task.name
+        self.spec = spec
+        self.MSHRS = env.machine.config.ra_mshrs
+        self.ESIZE = binding.elem_size
+
+    def sync_lines(self):
+        own = ["eng.clock = clock", "eng.last_delivery = last_del"]
+        own += ["sstats.ra_loads += ral", "ral = 0"]
+        return own + self.queue_flush_lines(["qo"], ["qi"]) + self.mem_flush_lines()
+
+    def emit_deq(self, dst):
+        """Blocking dequeue into ``dst`` (RAEngine._deq); advances ``clock``."""
+        self.w("if qi_entries:")
+        self.push()
+        self.emit_deq_hit("qi", dst, "t", "clock")
+        self.pop()
+        self.w("else:")
+        self.push()
+        self.w("qi.empty_blocks += 1")
+        self.emit_wait("deq_block", "qi.waiting_consumers", "res", "qi.try_deq(clock)")
+        self.w("%s, t = res" % dst)
+        self.pop()
+        self.w("if t > clock:")
+        self.w("    clock = t")
+
+    def emit_enq(self, value, at):
+        """Blocking enqueue of ``value`` no earlier than ``at``; leaves ``t``."""
+        self.w("if qo_free:")
+        self.push()
+        self.emit_enq_hit("qo", "t", at, value, "qo_lat")
+        self.pop()
+        self.w("else:")
+        self.push()
+        self.w("qo.full_blocks += 1")
+        self.emit_wait("enq_block", "qo.waiting_producers", "t", "qo.try_enq(%s, %s)" % (at, value))
+        self.pop()
+
+    def emit_load_and_deliver(self):
+        """RAEngine._load_and_deliver for ``data[index]``."""
+        self.w("oldest = ring[ri]")
+        self.w("if oldest > clock:")
+        self.w("    clock = oldest")
+        self.w("start = clock")
+        self.w("line = (base + index * %d) >> %d" % (self.ESIZE, self.SHIFT))
+        self.emit_l1_access()
+        self.w("comp = start + latency")
+        if self.traced:
+            self.w("tracer.ra_load(TN, start, comp)")
+        self.w("ring[ri] = comp")
+        self.w("ri = ri + 1 if ri < %d else 0" % (self.MSHRS - 1))
+        self.w("clock += 1")
+        self.w("try:")
+        self.w("    v = data[index]")
+        self.w("except IndexError:")
+        self.w("    raise oob(index)")
+        self.w("delivery = comp if comp > last_del else last_del")
+        self.w("ral += 1")
+        self.emit_enq("v", "delivery")
+        self.w("last_del = delivery if delivery > t else t")
+        self.w("if t > delivery and t - latency > clock:")
+        self.w("    clock = t - latency")
+
+    def compile(self):
+        """Emit the full generator-function source; returns (source, captures)."""
+        self.emit_deq("v")
+        self.w("if type(v) is Ctrl:")
+        self.push()
+        if self.spec.forward_ctrl:
+            self.emit_enq("v", "clock")
+            self.w("if t > clock:")
+            self.w("    clock = t")
+        self.w("continue")
+        self.pop()
+        if self.spec.mode == RA_SCAN:
+            self.w("lo = v")
+            self.emit_deq("hi")
+            self.w("if type(hi) is Ctrl:")
+            self.w("    raise SimulationError(")
+            self.w("        'RA %d (scan): control value arrived mid-pair' % RID)")
+            self.w("for index in range(lo, hi):")
+            self.push()
+            self.emit_load_and_deliver()
+            self.pop()
+        else:
+            self.w("index = v")
+            self.emit_load_and_deliver()
+        head = self.mem_prologue_lines() + self.queue_prologue_lines(["qi", "qo"], ["qo"], ["qi"])
+        head += [
+            "ring = [0.0] * %d" % self.MSHRS,
+            "ri = ral = 0",
+            "clock = eng.clock",
+            "last_del = eng.last_delivery",
+            "while True:",
+        ]
+        return self.assemble(head), self.captures
+
+
+class _CompiledRA(RAEngine):
+    """One compiled RA: the oracle's state, the generated loop."""
+
+    def __init__(self, spec, env, task, binding):
+        super().__init__(spec, env, task)
+        source, self._captures = _RACompiler(self, binding).compile()
+        self._fn = _instantiate(source, "<batchpath:ra%d>" % spec.raid)
+
+    def run(self):
+        return self._fn(self._captures)
+
+
+def BatchRAEngine(spec, env, task):
+    """Factory: the compiled RA, or the reference RA when the RA names an
+    unknown array or mode; the oracle then raises its own error at the
+    first resume (drop-in for RAEngine)."""
+    binding = env.arrays.get(spec.array[1:] if spec.array.startswith("@") else spec.array)
+    if binding is None or spec.mode not in (RA_INDIRECT, RA_SCAN):
+        return RAEngine(spec, env, task)
+    return _CompiledRA(spec, env, task, binding)

@@ -10,7 +10,7 @@ full statistics the evaluation figures need.
 
 from ..errors import ResourceError, SimulationError
 from ..ir.verifier import verify_pipeline
-from .batchpath import BatchStageInterp
+from .batchpath import BatchRAEngine, BatchStageInterp
 from .fastpath import resolve_engine
 from .interp import ArrayBinding, StageInterp, ThreadCtx
 from .mem import AddressMap, MemorySystem
@@ -144,16 +144,19 @@ class Machine:
     occupancy samples, and RA loads. With the default ``None`` no event
     buffer exists and the simulation is unchanged.
 
-    ``engine`` selects the stage execution engine by name (``"reference"``
-    or ``"batch"``); ``None`` defers to ``REPRO_ENGINE``, then batch (see
-    :func:`~repro.pipette.fastpath.resolve_engine`). Both engines produce
-    bit-identical :class:`SimStats`.
+    ``engine`` selects the stage and RA execution engine by name
+    (``"reference"`` or ``"batch"``); ``None`` defers to ``REPRO_ENGINE``,
+    then batch (see :func:`~repro.pipette.fastpath.resolve_engine`). Both
+    engines produce bit-identical :class:`SimStats`.
     """
 
     _ENGINE_CLASSES = {
         "reference": StageInterp,
         "batch": BatchStageInterp,
     }
+
+    #: The RA class of each engine; the reference RA is the oracle.
+    _RA_CLASSES = {"reference": RAEngine, "batch": BatchRAEngine}
 
     def __init__(self, config, tracer=None, engine=None):
         self.config = config
@@ -197,7 +200,9 @@ class Machine:
         for replica, spec in enumerate(specs):
             pipeline = spec.pipeline
             verify_pipeline(pipeline, max_queues=config.max_queues, max_ras=config.max_ras)
-            engine = self._ENGINE_CLASSES[resolve_engine(pipeline, self.engine)]
+            engine_name = resolve_engine(pipeline, self.engine)
+            engine = self._ENGINE_CLASSES[engine_name]
+            ra_engine = self._RA_CLASSES[engine_name]
             env = RunEnv(self, replica, spec, stats)
             env.shared = shared_cells
             self.envs.append(env)
@@ -256,9 +261,9 @@ class Machine:
             for spec_ra in pipeline.ras:
                 name = "r%d.ra%d" % (replica, spec_ra.raid)
                 task = Task(name, daemon=True)
-                engine = RAEngine(spec_ra, env, task)
-                task.clock_ref = lambda e=engine: e.clock
-                scheduler.add(task, engine.run())
+                ra = ra_engine(spec_ra, env, task)
+                task.clock_ref = lambda e=ra: e.clock
+                scheduler.add(task, ra.run())
 
             # Queue-endpoint topology for the scheduler's deadlock report:
             # which task sits at each end of each queue of this replica.

@@ -156,38 +156,16 @@ class MemorySystem:
         prefetcher. Stores are write-allocate and write-back; their latency
         is hidden by the store buffer, so callers usually ignore it.
 
-        The L1 lookup is inlined (not a :meth:`Cache.access` call) because
-        this is the hottest function in the simulator: the MRU compare
-        catches streaming accesses, the membership test avoids raising
-        ``ValueError`` for every L1 miss, and the tag is installed directly
-        instead of via a redundant post-lookup ``fill``. Tag state, LRU
-        order, and hit/miss counters end up exactly as the plain
-        lookup-then-fill sequence would leave them.
+        This is the reference memory walk: an L1 :meth:`Cache.access`, then
+        :meth:`miss_below_l1` on a miss. The batch engine emits a transcription
+        of this sequence (:mod:`repro.pipette.batchpath`) and must leave
+        tag state, LRU order and counters exactly as this leaves them.
         """
         cfg = self.config
         line = addr >> self.LINE_SHIFT
-        l1 = self.l1[core]
-        sets = l1.sets
-        index = line % l1.sets_count
-        tag = line // l1.sets_count
-        entry = sets.get(index)
-        if entry is not None and entry[0] == tag:
-            l1.stats.hits += 1
-            latency = cfg.l1.latency
-        elif entry is not None and tag in entry:
-            pos = entry.index(tag, 1)
-            del entry[pos]
-            entry.insert(0, tag)
-            l1.stats.hits += 1
+        if self.l1[core].access(line):
             latency = cfg.l1.latency
         else:
-            if entry is None:
-                sets[index] = [tag]
-            else:
-                entry.insert(0, tag)
-                if len(entry) > l1.ways:
-                    entry.pop()
-            l1.stats.misses += 1
             latency = self.miss_below_l1(core, line, now)
 
         if cfg.prefetch_enabled and stream_id is not None and not is_store:
@@ -200,10 +178,8 @@ class MemorySystem:
     def miss_below_l1(self, core, line, now):
         """L2 -> L3 -> DRAM walk after an L1 miss; returns the latency.
 
-        The caller has already updated L1 tag state and counters (the L1
-        install is part of the miss handling, not of this walk), which lets
-        the fast-path load closures inline the L1 lookup and share this
-        method for the miss side.
+        The caller has already updated L1 tag state and counters: the L1
+        install belongs to :meth:`Cache.access`, not to this walk.
         """
         cfg = self.config
         if self.l2[core].access(line):
@@ -213,9 +189,10 @@ class MemorySystem:
     def miss_below_l2(self, core, line, now):
         """L3 -> DRAM walk after an L2 miss; returns the latency.
 
-        Split from :meth:`miss_below_l1` so engines that also inline the L2
-        lookup (batchpath, the RA loop) can share the walk below it. The
-        caller has already updated L2 tag state and counters.
+        Split from :meth:`miss_below_l1` so the batch engine, whose
+        generated stages and RAs inline the L1 and L2 lookups, shares the
+        walk below them. The caller has already updated L2 tag state and
+        counters.
         """
         l2 = self.l2[core]
         l3 = self.l3

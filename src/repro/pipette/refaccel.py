@@ -16,28 +16,20 @@ RAs run as daemon tasks: they loop forever and the simulation ends when all
 stage threads are done. Control values are forwarded downstream unchanged
 so end-of-stream markers survive offloading.
 
-``run()`` is a single generator with the queue fast paths inlined: an RA
-moves one value per resume in steady state, so paying a fresh sub-generator
-(plus ``yield from`` plumbing) per value tripled the interpreter overhead
-of every offloaded load. Only the *blocked* branches remain loops around
-``yield BLOCKED``; the logic and timing arithmetic are unchanged.
-
-Hot engine state lives in frame locals while the generator runs: the front
-clock (externally visible through ``task.clock_ref``), the in-order
-delivery watermark, and the shared counters (``ra_loads``, queue
-enq/deq totals, output occupancy high-water). Locals are flushed back
-before **every** ``yield`` — the only points where the scheduler, other
-tasks, or stats collection can observe the engine — so external state is
-reference-identical at every observable instant. Counters flush additively
-(``+=`` deltas / max-merge) because the blocked retry paths go through the
-real queue methods, which update the shared attributes directly.
+This module is the RA *oracle*: one plain engine written against the spec,
+using the queues' ``try_deq``/``try_enq`` and :meth:`MemorySystem.access
+<repro.pipette.mem.MemorySystem.access>` for timing. The reference engine
+runs it as is; the batch engine runs an RA loop generated from the same
+memory-walk template as its compiled stages
+(:mod:`repro.pipette.batchpath`), which the conformance suites hold
+bit-identical to this one.
 """
 
 from collections import deque
 
 from ..errors import SimulationError
 from ..ir.program import RA_INDIRECT, RA_SCAN
-from ..ir.values import Ctrl, is_control
+from ..ir.values import is_control
 from .sched import BLOCKED
 
 
@@ -53,176 +45,90 @@ class RAEngine:
         self.last_delivery = 0.0
         self.tracer = env.machine.tracer
 
-    def next_event_cycle(self):
-        """Event-horizon contract: the earliest cycle the RA front clock can
-        sit at. The clock is the baseline; with all MSHRs in flight the next
-        accepted request would first wait for the oldest completion — the
-        same closed form the issue loop advances the clock by. Meaningful
-        between resumes (``run`` flushes ``self.clock`` before yielding)."""
-        t = self.clock
-        inflight = self.inflight
-        if len(inflight) >= self.env.machine.config.ra_mshrs and inflight[0] > t:
-            t = inflight[0]
-        return t
+    # -- blocking queue helpers (RA-side) ----------------------------------
 
-    def run(self):
-        """Main RA loop (a daemon task generator).
+    def _deq(self, queue):
+        while True:
+            res = queue.try_deq(self.clock)
+            if res is not None:
+                value, t = res
+                if t > self.clock:
+                    self.clock = t
+                return value
+            self.task.block(("ra-deq", queue.qid))
+            queue.waiting_consumers.append(self.task)
+            yield BLOCKED
+
+    def _enq(self, queue, value, at):
+        """Enqueue no earlier than cycle ``at``; returns the enqueue cycle."""
+        while True:
+            t = queue.try_enq(at, value)
+            if t is not None:
+                return t
+            self.task.block(("ra-enq", queue.qid))
+            queue.waiting_producers.append(self.task)
+            yield BLOCKED
+
+    # -- the load pipeline --------------------------------------------------
+
+    def _load_and_deliver(self, binding, index, out_queue):
+        """Issue one load and enqueue its value, preserving delivery order.
 
         ``self.clock`` is the engine's *front* clock: it advances with input
         consumption and load issue, throttled only by the MSHR bound, so up
         to ``ra_mshrs`` loads overlap — the memory-level parallelism an RA
-        exists to provide. Deliveries carry their own (in-order) timestamps.
+        exists to provide. Deliveries carry their own (in-order) timestamps;
+        a full output queue backpressures the front.
         """
+        if len(self.inflight) >= self.env.machine.config.ra_mshrs:
+            oldest = self.inflight.popleft()
+            if oldest > self.clock:
+                self.clock = oldest
+        start = self.clock
+        addr = binding.base + index * binding.elem_size
+        latency = self.env.machine.mem.access(self.env.core, addr, start, stream_id=binding.name)
+        completion = start + latency
+        if self.tracer is not None:
+            self.tracer.ra_load(self.task.name, start, completion)
+        self.inflight.append(completion)
+        self.clock += 1  # one engine slot per accepted request
+        try:
+            value = binding.data[index]
+        except IndexError:
+            raise SimulationError(
+                "RA %d: load %s[%d] out of bounds (len %d)"
+                % (self.spec.raid, self.spec.array, index, len(binding.data))
+            )
+        delivery = max(completion, self.last_delivery)
+        self.env.stats.ra_loads += 1
+        t = yield from self._enq(out_queue, value, delivery)
+        self.last_delivery = max(delivery, t)
+        if t > delivery and t - latency > self.clock:
+            # Output backpressure: stall the front correspondingly.
+            self.clock = t - latency
+
+    def run(self):
+        """Main RA loop (a daemon task generator)."""
         env = self.env
         spec = self.spec
-        task = self.task
         in_queue = env.queues[spec.in_queue]
         out_queue = env.queues[spec.out_queue]
-        try_deq = in_queue.try_deq
-        try_enq = out_queue.try_enq
-        deq_block = ("ra-deq", in_queue.qid)
-        enq_block = ("ra-enq", out_queue.qid)
         binding = env.arrays.get(spec.array[1:] if spec.array.startswith("@") else spec.array)
         if binding is None:
             raise SimulationError("RA %d bound to unknown array %s" % (spec.raid, spec.array))
-        scan = spec.mode == RA_SCAN
-        if not scan and spec.mode != RA_INDIRECT:
+
+        if spec.mode not in (RA_INDIRECT, RA_SCAN):
             raise SimulationError("RA %d: unknown mode %r" % (spec.raid, spec.mode))
-        tracer = self.tracer
-        tname = task.name
-        stats = env.stats
-        inflight = self.inflight
-        mshr_cap = env.machine.config.ra_mshrs
-        core = env.core
-        base = binding.base
-        esize = binding.elem_size
-        data = binding.data
-        sname = binding.name
-        # Inline L1 lookup + prefetch observation (MemorySystem.access):
-        # same block the fast-path load closures use; only the below-L1
-        # miss walk stays a call. Tag state and counters match exactly.
-        mem = env.machine.mem
-        mcfg = mem.config
-        shift = mem.LINE_SHIFT
-        l1 = mem.l1[core]
-        l1_sets = l1.sets
-        scount = l1.sets_count
-        l1_ways = l1.ways
-        l1_stats = l1.stats
-        l1_lat = mcfg.l1.latency
-        l2 = mem.l2[core]
-        l2_sets = l2.sets
-        l2_scount = l2.sets_count
-        l2_ways = l2.ways
-        l2_stats = l2.stats
-        l2_lat = mcfg.l2.latency
-        pf_on = mcfg.prefetch_enabled
-        pf_deg = mcfg.prefetch_degree
-        below_l2 = mem.miss_below_l2
-        pf_streams = mem.prefetchers[core].streams
-        max_stride = mem.prefetchers[core].MAX_STRIDE
-        prefetch_one = mem._prefetch
-        # Inline queue fast paths (queues.py try_deq/try_enq): the RA moves
-        # one value per iteration in steady state, so the per-value call
-        # overhead is pure dispatch tax. Blocked/retry paths keep the calls.
-        in_entries = in_queue.entries
-        in_slot_free = in_queue.slot_free
-        in_tracer = in_queue.tracer
-        out_slot_free = out_queue.slot_free
-        out_entries = out_queue.entries
-        out_lat = out_queue.latency
-        out_tracer = out_queue.tracer
-        # Frame-local engine state + shared-counter deltas (see module
-        # docstring); flushed before every yield.
-        clock = self.clock
-        last_del = self.last_delivery
-        ral = 0  # stats.ra_loads delta
-        ind = 0  # in_queue.total_deqs delta
-        oute = 0  # out_queue.total_enqs delta
-        out_mo = out_queue.max_occupancy
-
         while True:
-            # deq one input value (blocking); try_deq inlined
-            if in_entries:
-                value, avail = in_entries.popleft()
-                t = avail if avail > clock else clock
-                in_slot_free.append(t)
-                ind += 1
-                if in_tracer is not None:
-                    in_tracer.counter(in_queue.label, t, len(in_entries))
-                if in_queue.waiting_producers:
-                    waiters = in_queue.waiting_producers
-                    in_queue.waiting_producers = []
-                    for waiter in waiters:
-                        waiter.wake()
-            else:
-                in_queue.empty_blocks += 1
-                self.clock = clock
-                self.last_delivery = last_del
-                stats.ra_loads += ral
-                ral = 0
-                in_queue.total_deqs += ind
-                ind = 0
-                out_queue.total_enqs += oute
-                oute = 0
-                if out_mo > out_queue.max_occupancy:
-                    out_queue.max_occupancy = out_mo
-                res = None
-                while res is None:
-                    task.block(deq_block)
-                    in_queue.waiting_consumers.append(task)
-                    yield BLOCKED
-                    res = try_deq(clock)
-                value, t = res
-            if t > clock:
-                clock = t
-
-            if type(value) is Ctrl:
+            value = yield from self._deq(in_queue)
+            if is_control(value):
                 if spec.forward_ctrl:
-                    # forward the marker downstream (blocking enq)
-                    t = try_enq(clock, value)
-                    if t is None:
-                        self.clock = clock
-                        self.last_delivery = last_del
-                        stats.ra_loads += ral
-                        ral = 0
-                        in_queue.total_deqs += ind
-                        ind = 0
-                        out_queue.total_enqs += oute
-                        oute = 0
-                        if out_mo > out_queue.max_occupancy:
-                            out_queue.max_occupancy = out_mo
-                        while t is None:
-                            task.block(enq_block)
-                            out_queue.waiting_producers.append(task)
-                            yield BLOCKED
-                            t = try_enq(clock, value)
-                    if t > clock:
-                        clock = t
+                    t = yield from self._enq(out_queue, value, self.clock)
+                    if t > self.clock:
+                        self.clock = t
                 continue
-
-            if scan:
-                # second half of the (start, end) pair
-                res = try_deq(clock)
-                if res is None:
-                    self.clock = clock
-                    self.last_delivery = last_del
-                    stats.ra_loads += ral
-                    ral = 0
-                    in_queue.total_deqs += ind
-                    ind = 0
-                    out_queue.total_enqs += oute
-                    oute = 0
-                    if out_mo > out_queue.max_occupancy:
-                        out_queue.max_occupancy = out_mo
-                    while res is None:
-                        task.block(deq_block)
-                        in_queue.waiting_consumers.append(task)
-                        yield BLOCKED
-                        res = try_deq(clock)
-                end, t = res
-                if t > clock:
-                    clock = t
+            if spec.mode == RA_SCAN:  # value starts a [start, end) sweep
+                end = yield from self._deq(in_queue)
                 if is_control(end):
                     raise SimulationError(
                         "RA %d (scan): control value arrived mid-pair" % spec.raid
@@ -230,128 +136,5 @@ class RAEngine:
                 indices = range(value, end)
             else:
                 indices = (value,)
-
             for index in indices:
-                # issue one load: MSHR throttle, L1 lookup, in-order delivery
-                if len(inflight) >= mshr_cap:
-                    oldest = inflight.popleft()
-                    if oldest > clock:
-                        clock = oldest
-                start = clock
-                addr = base + index * esize
-                line = addr >> shift
-                sindex = line % scount
-                tag = line // scount
-                entry = l1_sets.get(sindex)
-                if entry is not None and entry[0] == tag:
-                    l1_stats.hits += 1
-                    latency = l1_lat
-                elif entry is not None and tag in entry:
-                    pos = entry.index(tag, 1)
-                    del entry[pos]
-                    entry.insert(0, tag)
-                    l1_stats.hits += 1
-                    latency = l1_lat
-                else:
-                    if entry is None:
-                        l1_sets[sindex] = [tag]
-                    else:
-                        entry.insert(0, tag)
-                        if len(entry) > l1_ways:
-                            entry.pop()
-                    l1_stats.misses += 1
-                    # L2 lookup inlined too (Cache.access, same discipline
-                    # as the L1 block); only the below-L2 walk is a call.
-                    s2 = line % l2_scount
-                    t2 = line // l2_scount
-                    e2 = l2_sets.get(s2)
-                    if e2 is not None and e2[0] == t2:
-                        l2_stats.hits += 1
-                        latency = l2_lat
-                    elif e2 is not None and t2 in e2:
-                        pos = e2.index(t2, 1)
-                        del e2[pos]
-                        e2.insert(0, t2)
-                        l2_stats.hits += 1
-                        latency = l2_lat
-                    else:
-                        if e2 is None:
-                            l2_sets[s2] = [t2]
-                        else:
-                            e2.insert(0, t2)
-                            if len(e2) > l2_ways:
-                                e2.pop()
-                        l2_stats.misses += 1
-                        latency = below_l2(core, line, start)
-                if pf_on:
-                    # stride observe (_StreamTable.observe, mem.py), inlined
-                    sentry = pf_streams.get(sname)
-                    if sentry is None:
-                        pf_streams[sname] = (line, 0, 0)
-                    else:
-                        last_line, pstride, prun = sentry
-                        delta = line - last_line
-                        if delta != 0:
-                            if delta == pstride and 0 < abs(pstride) <= max_stride:
-                                prun = prun + 1 if prun < 8 else 8
-                                pf_streams[sname] = (line, pstride, prun)
-                                if prun >= 2:
-                                    later = start + latency
-                                    for k in range(1, pf_deg + 1):
-                                        prefetch_one(core, line + pstride * k, later)
-                            else:
-                                pf_streams[sname] = (line, delta, 1)
-                completion = start + latency
-                if tracer is not None:
-                    tracer.ra_load(tname, start, completion)
-                inflight.append(completion)
-                clock += 1  # one engine slot per accepted request
-                try:
-                    loaded = data[index]
-                except IndexError:
-                    raise SimulationError(
-                        "RA %d: load %s[%d] out of bounds (len %d)"
-                        % (spec.raid, spec.array, index, len(data))
-                    )
-                delivery = last_del
-                if completion > delivery:
-                    delivery = completion
-                ral += 1
-                # enq the delivery (blocking); try_enq inlined
-                if out_slot_free:
-                    freed_at = out_slot_free.popleft()
-                    t = freed_at if freed_at > delivery else delivery
-                    out_entries.append((loaded, t + out_lat))
-                    oute += 1
-                    occupancy = len(out_entries)
-                    if occupancy > out_mo:
-                        out_mo = occupancy
-                    if out_tracer is not None:
-                        out_tracer.counter(out_queue.label, t, occupancy)
-                    if out_queue.waiting_consumers:
-                        waiters = out_queue.waiting_consumers
-                        out_queue.waiting_consumers = []
-                        for waiter in waiters:
-                            waiter.wake()
-                else:
-                    out_queue.full_blocks += 1
-                    self.clock = clock
-                    self.last_delivery = last_del
-                    stats.ra_loads += ral
-                    ral = 0
-                    in_queue.total_deqs += ind
-                    ind = 0
-                    out_queue.total_enqs += oute
-                    oute = 0
-                    if out_mo > out_queue.max_occupancy:
-                        out_queue.max_occupancy = out_mo
-                    t = None
-                    while t is None:
-                        task.block(enq_block)
-                        out_queue.waiting_producers.append(task)
-                        yield BLOCKED
-                        t = try_enq(delivery, loaded)
-                last_del = delivery if delivery > t else t
-                if t > delivery and t - latency > clock:
-                    # Output backpressure: stall the front correspondingly.
-                    clock = t - latency
+                yield from self._load_and_deliver(binding, index, out_queue)

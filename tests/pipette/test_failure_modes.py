@@ -5,6 +5,7 @@ import pytest
 from repro import ir
 from repro.errors import DeadlockError, SimulationError
 from repro.pipette import Machine, MachineConfig, RunSpec
+from repro.pipette.fastpath import ENGINES
 
 
 def test_deadlock_report_names_threads_and_queues():
@@ -67,8 +68,9 @@ def test_scan_ra_rejects_ctrl_mid_pair():
         {"a": ir.ArrayDecl("a")},
         [],
     )
-    with pytest.raises(SimulationError, match="mid-pair"):
-        Machine(MachineConfig()).run(RunSpec(pipe, {"a": [1, 2, 3]}, {}))
+    for engine in ENGINES:
+        with pytest.raises(SimulationError, match="mid-pair"):
+            Machine(MachineConfig(), engine=engine).run(RunSpec(pipe, {"a": [1, 2, 3]}, {}))
 
 
 def test_dangling_break_detected():
