@@ -697,13 +697,6 @@ def validate_prediction(
     }
 
 
-def validate_on_run(
-    pipeline: Any, result: Any, tol: float = VALIDATE_TOL
-) -> dict[str, Any]:
-    """Convenience: validate against a :class:`RunResult` (has ``.stats``)."""
-    return validate_prediction(pipeline, result.stats, tol=tol)
-
-
 __all__ = [
     "EdgeEstimate",
     "PerfReport",
@@ -712,6 +705,5 @@ __all__ = [
     "measured_stage_busy",
     "perf_advisories",
     "static_score",
-    "validate_on_run",
     "validate_prediction",
 ]

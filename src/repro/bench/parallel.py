@@ -111,6 +111,10 @@ def _pool_run(index):
 #: (the figures CLI prints these as its per-job wall-time summary).
 _JOB_LOG = []
 
+#: :func:`run_jobs` calls in progress in this process. Only the outermost
+#: logs: a nested call's jobs are already inside the enclosing job's wall.
+_DEPTH = 0
+
 
 def job_log():
     """The accumulated :class:`JobResult` s (per-job wall-time reporting)."""
@@ -136,16 +140,24 @@ def run_jobs(jobs, workers=None):
     a platform without ``fork``) the jobs run serially in-process; results
     are identical either way.
     """
+    global _DEPTH
+    _DEPTH += 1
+    try:
+        results = _run_jobs(list(jobs), resolve_jobs(workers))
+    finally:
+        _DEPTH -= 1
+    if not _DEPTH:
+        _JOB_LOG.extend(results)
+    return results
+
+
+def _run_jobs(jobs, workers):
     global _POOL_JOBS
-    jobs = list(jobs)
-    workers = resolve_jobs(workers)
     parallel = (
         workers > 1 and len(jobs) > 1 and not in_worker() and _fork_available()
     )
     if not parallel:
-        results = [_run_one(job) for job in jobs]
-        _JOB_LOG.extend(results)
-        return results
+        return [_run_one(job) for job in jobs]
 
     _POOL_JOBS = jobs
     try:
@@ -158,5 +170,4 @@ def run_jobs(jobs, workers=None):
     for result, delta in out:
         cache.merge_stats(delta)
         results.append(result)
-    _JOB_LOG.extend(results)
     return results

@@ -57,12 +57,6 @@ class CompileOptions:
     #: verification never changes the compiled pipeline, so a verified and
     #: an unverified compile must share cache entries.
     verify_each: bool = False
-    #: Run the static performance model at the end of compilation and log
-    #: its PHL4xx advisories. Advisory only — it never changes the
-    #: compiled pipeline — so, like ``verify_each``, it is
-    #: deliberately NOT part of cache_key(): analyzed and unanalyzed
-    #: compiles must share cache entries.
-    perf_lints: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "passes", tuple(self.passes))
@@ -223,12 +217,6 @@ def compile_function(function, options=None, profiler=None):
     for warning in diags.warnings():
         log("compile %s: %s", pipeline.name, warning.render())
     diags.raise_if_errors("pipeline %s failed static safety analysis" % pipeline.name)
-    if options.perf_lints:
-        # Advisory only: logged, never raised, never part of the cache key.
-        from ..analysis.perfmodel import perf_advisories
-
-        for advisory in perf_advisories(pipeline).sorted():
-            log("perf %s: %s", pipeline.name, advisory.render())
     return pipeline
 
 

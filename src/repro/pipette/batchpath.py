@@ -25,11 +25,10 @@ stage's whole region tree into **one generated Python generator function**:
   geometry, latencies, branch PCs) are baked into the source as literals;
 * the generator ``yield``\\ s only at true blocking points (queue
   full/empty, barrier). Between those *interesting events* the stage runs
-  as straight-line compiled Python: the clock advances in closed form
-  through the very timestamps the components expose via their
-  ``next_event_cycle()`` contracts (a queue entry's visibility cycle, an
-  MSHR/ROB head's completion, a DRAM window boundary, a branch redirect
-  target), never by stepping cycles.
+  as straight-line compiled Python: the local clock advances in closed
+  form to the timestamps the reference methods compute (a queue entry's
+  visibility cycle, an MSHR/ROB head's completion, a DRAM window boundary,
+  a branch redirect target), never by stepping cycles.
 
 Bit-identical stats discipline
 ------------------------------
@@ -546,9 +545,8 @@ class _StageCompiler(_Emitter):
     def emit_acquire(self, n=1):
         """IssueLedger.acquire x n + ThreadCtx.issue bookkeeping; leaves ``t``.
 
-        ``slots`` is bound once in the prologue (IssueLedger.prune would
-        rebind the dict, but nothing calls it during a machine run).
-        ``c + 0.0`` == ``float(c)`` exactly for any cycle count below 2**53.
+        ``slots`` is bound once in the prologue. ``c + 0.0`` == ``float(c)``
+        exactly for any cycle count below 2**53.
 
         The ledger dict is shared with co-scheduled threads, but those only
         run after this generator yields: the current cycle's count lives in
@@ -1373,11 +1371,9 @@ class _StageCompiler(_Emitter):
             "ptable = pred.table",
             "pmask = pred.mask",
             "hmask = pred.history_mask",
-            # Hot structures bound once: the ledger's slot dict is only
-            # rebound by IssueLedger.prune, which no machine-run path calls.
-            # The ROB and MSHR live as prefilled rings (see emit_retire);
-            # ThreadCtx always hands the engine freshly-empty deques, so the
-            # rings start at zero.
+            # Hot structures bound once. The ROB and MSHR live as prefilled
+            # rings (see emit_retire); ThreadCtx always hands the engine
+            # freshly-empty deques, so the rings start at zero.
             "slots = ledger.slots",
             "sget = slots.get",
             "lc = -1",

@@ -116,7 +116,6 @@ class MemorySystem:
         self.window_shift = 6
         self.window_capacity = max(1, (1 << self.window_shift) // config.dram_service)
         self.windows = [dict() for _ in range(config.dram_controllers)]
-        self.window_low = [0] * config.dram_controllers
         self.prefetchers = [_StreamTable() for _ in range(config.cores)]
 
     def _dram(self, line, now):
@@ -134,20 +133,6 @@ class MemorySystem:
         table[window] = table.get(window, 0) + 1
         queue_delay = max(0.0, float(window << self.window_shift) - now)
         return queue_delay + self.config.dram_latency
-
-    def next_dram_window_cycle(self, line, now):
-        """Event-horizon contract: the cycle at which the controller owning
-        ``line`` next has spare bandwidth for a request presented at
-        ``now``, without consuming any. ``_dram``'s queue delay is exactly
-        ``this - now``: the closed form by which a bandwidth-saturated
-        access skips ahead to the first open 64-cycle window."""
-        ctrl = line % len(self.windows)
-        table = self.windows[ctrl]
-        window = int(now) >> self.window_shift
-        while table.get(window, 0) >= self.window_capacity:
-            window += 1
-        start = float(window << self.window_shift)
-        return start if start > now else now
 
     def access(self, core, addr, now, stream_id=None, is_store=False):
         """Access ``addr`` from ``core`` at cycle ``now``; returns latency.

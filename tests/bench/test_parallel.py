@@ -68,6 +68,21 @@ def test_job_log_accumulates():
     assert job_log() == []
 
 
+def test_job_log_counts_only_outermost_jobs():
+    """A nested run_jobs call's jobs are part of the enclosing job's wall
+    time; logging them too would double-count busy time."""
+
+    def outer():
+        inner = run_jobs([Job(("in", i), lambda v=i: v) for i in range(3)], workers=1)
+        return [r.value for r in inner]
+
+    clear_job_log()
+    results = run_jobs([Job("outer", outer)], workers=1)
+    assert results[0].value == [0, 1, 2]
+    assert [e.key for e in job_log()] == ["outer"]
+    clear_job_log()
+
+
 @pytest.fixture(scope="module")
 def micro_inputs():
     return [

@@ -1,5 +1,8 @@
 """Cache model: LRU sets, hierarchy fills, stride prefetch, DRAM windows."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.pipette.config import CacheConfig, MachineConfig
 from repro.pipette.mem import AddressMap, Cache, MemorySystem
 from repro.pipette.stats import SimStats
@@ -115,6 +118,46 @@ def test_dram_window_insensitive_to_order():
     t1 = sorted(mem1.access(0, a, float(i)) for i, a in enumerate(addrs))
     t2 = sorted(mem2.access(0, a, float(9 - i)) for i, a in enumerate(reversed(addrs)))
     assert len(t1) == len(t2)
+
+
+class _WindowModel:
+    """Per-controller DRAM bandwidth, stepped one 64-cycle window at a time."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.capacity = max(1, 64 // cfg.dram_service)
+        self.used = [{} for _ in range(cfg.dram_controllers)]
+
+    def latency(self, line, now):
+        used = self.used[line % self.cfg.dram_controllers]
+        window = int(now) // 64
+        while used.get(window, 0) == self.capacity:
+            window += 1  # this window is saturated; try the next one
+        used[window] = used.get(window, 0) + 1
+        return max(0.0, window * 64 - now) + self.cfg.dram_latency
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        # Mostly short gaps, so controllers saturate and requests spill
+        # into later windows; the odd long gap lands in a fresh window.
+        st.tuples(st.integers(0, 6), st.integers(0, 3) | st.integers(0, 80), st.booleans()),
+        min_size=1, max_size=60,
+    )
+)
+@example([(0, 0, False)] * 20)  # 20 requests, one controller, one instant
+@example([(0, 0, True)] * 20)  # the same at half-cycle steps: fractional spills
+def test_dram_matches_window_stepping_model(accesses):
+    cfg = MachineConfig()
+    stats = SimStats()
+    mem = MemorySystem(cfg, stats)
+    model = _WindowModel(cfg)
+    clock = 0.0
+    for line, gap, half in accesses:
+        clock += gap + (0.5 if half else 0.0)
+        assert mem._dram(line, clock) == model.latency(line, clock)
+    assert stats.dram_accesses == len(accesses)
 
 
 def test_address_map_no_overlap():

@@ -1,10 +1,15 @@
-"""Interpreter semantics: small programs run through the full machine."""
+"""Interpreter semantics: small programs run through the full machine, plus
+the ThreadCtx MSHR/ROB scoreboard primitives."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import ir
 from repro.errors import DeadlockError, SimulationError
 from repro.pipette import Machine, MachineConfig, RunSpec
+from repro.pipette.interp import ThreadCtx
+from repro.pipette.sched import IssueLedger
 
 
 def _run(body, arrays=None, scalars=None, decls=None, handlers=None, intrinsics=None):
@@ -283,3 +288,74 @@ def test_select_and_pack():
     b.store("@out", 0, c)
     res = _run(b.finish(), {"out": [0]})
     assert res.arrays()["out"] == [3]
+
+
+class _StubStats:
+    """Just enough surface for the ThreadCtx scoreboard methods."""
+
+    def __init__(self):
+        self.name = "t0"
+        self.mem_stall = 0.0
+
+
+def _ctx(cursor):
+    # Small windows so generated histories cover both full and not-full.
+    config = MachineConfig(rob_size=12, mshrs=4)
+    ctx = ThreadCtx(config, 0, IssueLedger(4), None, _StubStats(), None)
+    ctx.cursor = float(cursor)
+    return ctx
+
+
+def _completions(window):
+    """Outstanding completions for a window of ``window`` entries, from
+    empty up to exactly full (a claim or retire never lets it overfill)."""
+    return st.lists(st.floats(0, 100), min_size=0, max_size=window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_completions(4), st.integers(0, 60))
+@example([10.0, 20.0, 30.0, 40.0], 5)
+def test_mshr_claim_stalls_to_oldest_when_full(completions, cursor):
+    ctx = _ctx(cursor)
+    ctx.mshr.extend(sorted(completions))
+    full = len(ctx.mshr) >= ctx.config.mshrs
+    oldest = ctx.mshr[0] if ctx.mshr else None
+    before = ctx.cursor
+    ctx.mshr_claim(200.0)
+    if full:
+        assert ctx.cursor == max(oldest, before)
+        assert ctx.stats.mem_stall == ctx.cursor - before
+        assert len(ctx.mshr) == len(completions)
+    else:
+        assert ctx.cursor == before
+        assert ctx.stats.mem_stall == 0.0
+        assert len(ctx.mshr) == len(completions) + 1
+    assert ctx.mshr[-1] == 200.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_completions(12), st.integers(0, 60))
+@example([float(10 * i) for i in range(1, 13)], 5)
+def test_retire_stalls_to_oldest_when_full(completions, cursor):
+    ctx = _ctx(cursor)
+    ctx.rob.extend(sorted(completions))
+    full = len(ctx.rob) >= ctx.rob_size
+    oldest = ctx.rob[0] if ctx.rob else None
+    before = ctx.cursor
+    ctx.retire(500.0)
+    if full:
+        assert ctx.cursor == max(oldest, before)
+        assert ctx.stats.mem_stall == ctx.cursor - before
+        assert len(ctx.rob) == len(completions)
+    else:
+        assert ctx.cursor == before
+        assert ctx.stats.mem_stall == 0.0
+        assert len(ctx.rob) == len(completions) + 1
+    assert ctx.rob[-1] == ctx.rob_last == 500.0
+
+
+def test_retire_completes_in_order():
+    ctx = _ctx(0)
+    ctx.retire(50.0)
+    ctx.retire(10.0)  # finishes early, but cannot retire past its elder
+    assert list(ctx.rob) == [50.0, 50.0]
