@@ -7,7 +7,11 @@ take", updating tag state, the prefetcher, and the DRAM bandwidth ledgers.
 
 
 class Cache:
-    """One set-associative LRU cache level (tags only)."""
+    """One set-associative LRU cache level (tags only).
+
+    ``sets[index]`` is the set's tag list, MRU first, or ``None`` while the
+    set has never been filled.
+    """
 
     __slots__ = ("sets_count", "ways", "latency", "sets", "stats")
 
@@ -15,14 +19,14 @@ class Cache:
         self.sets_count = cfg.sets
         self.ways = cfg.ways
         self.latency = cfg.latency
-        self.sets = {}
+        self.sets = [None] * cfg.sets
         self.stats = stats
 
     def access(self, line):
         """Look up ``line``; returns True on hit. Updates LRU and counters."""
         index = line % self.sets_count
         tag = line // self.sets_count
-        entry = self.sets.get(index)
+        entry = self.sets[index]
         if entry is None:
             self.sets[index] = [tag]
             self.stats.misses += 1
@@ -49,7 +53,7 @@ class Cache:
         """Install ``line`` without counting an access (miss fill / prefetch)."""
         index = line % self.sets_count
         tag = line // self.sets_count
-        entry = self.sets.get(index)
+        entry = self.sets[index]
         if entry is None:
             self.sets[index] = [tag]
         elif tag not in entry:
@@ -60,7 +64,7 @@ class Cache:
             self.stats.prefetch_fills += 1
 
     def contains(self, line):
-        entry = self.sets.get(line % self.sets_count)
+        entry = self.sets[line % self.sets_count]
         return entry is not None and (line // self.sets_count) in entry
 
 

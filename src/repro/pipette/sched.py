@@ -265,13 +265,26 @@ class IssueLedger:
     ``acquire(t)`` returns the first cycle >= t with a free slot and
     consumes it. Threads at different local times share one ledger, which is
     what models SMT contention among co-scheduled pipeline stages.
+
+    ``slots`` is a list of per-cycle counts indexed by absolute cycle; a
+    cycle past its end has count 0. It grows in place (:meth:`reserve`)
+    because compiled stages bind the list object once.
     """
 
     __slots__ = ("width", "slots")
 
+    INITIAL_CYCLES = 4096
+
     def __init__(self, width):
         self.width = width
-        self.slots = {}
+        self.slots = [0] * self.INITIAL_CYCLES
+
+    def reserve(self, c):
+        """Extend ``slots`` in place so cycle ``c`` is addressable, plus
+        about an eighth of its length of headroom."""
+        slots = self.slots
+        size = len(slots)
+        slots.extend([0] * (c + 1 - size + (size >> 3)))
 
     def acquire(self, t):
         c = int(t)
@@ -279,9 +292,13 @@ class IssueLedger:
             c += 1
         slots = self.slots
         width = self.width
-        n = slots.get(c, 0)
-        while n >= width:
-            c += 1
-            n = slots.get(c, 0)
+        try:
+            n = slots[c]
+            while n >= width:
+                c += 1
+                n = slots[c]
+        except IndexError:
+            self.reserve(c)
+            n = 0
         slots[c] = n + 1
         return float(c)
