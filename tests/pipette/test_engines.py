@@ -138,6 +138,20 @@ def test_repeated_bound_method_captures_compile(kind, batch_builds, tiny_config)
     _assert_identical(result, oracle)
 
 
+def test_cost_one_intrinsic_on_the_cached_cycle(batch_builds, tiny_config):
+    """A cost-1 intrinsic issues through ``ledger.acquire`` onto the cycle
+    whose count a compiled stage holds in locals; the stage must drop that
+    cached count, or its next deferred write undercounts the cycle."""
+    built, reasons = batch_builds
+    pipeline, arrays, scalars = _two_stage(consumer_extra=[ir.Call("x", "work", ["v"])])
+    pipeline.intrinsics = {"work": ir.Intrinsic("work", lambda x: x * 2, cost=1)}
+    result = run_pipeline(pipeline, arrays, scalars, config=tiny_config, engine="batch")
+    oracle = run_pipeline(pipeline, arrays, scalars, config=tiny_config, engine="reference")
+    assert reasons == {}
+    assert sorted(built) == [("c", batchpath._CompiledStage), ("p", batchpath._CompiledStage)]
+    _assert_identical(result, oracle)
+
+
 # -- every UnsupportedStage raise site falls back to the reference ------------
 
 
